@@ -290,9 +290,7 @@ protoJobs(std::size_t n, const BatchJob &proto)
 SuiteRunner &
 suiteRunner()
 {
-    static SuiteRunner runner(benchOptions().threads,
-                              benchOptions().memo,
-                              std::size_t(benchOptions().memoCap));
+    static SuiteRunner runner(benchOptions().threads, benchOptions().memo);
     return runner;
 }
 
@@ -311,19 +309,15 @@ ownsJob(std::size_t i)
 RunOptions
 benchRunOptions()
 {
-    RunOptions opts;
+    RunOptions opts = benchUnshardedOptions();
     opts.shard = benchOptions().shard;
-    opts.chunk = benchOptions().chunk;
-    opts.verify = benchOptions().verify;
-    opts.certify = benchOptions().certify;
     return opts;
 }
 
 RunOptions
-benchChunkOptions()
+benchUnshardedOptions()
 {
     RunOptions opts;
-    opts.chunk = benchOptions().chunk;
     opts.verify = benchOptions().verify;
     opts.certify = benchOptions().certify;
     return opts;
@@ -539,14 +533,6 @@ initBenchArgs(int *argc, char ***argv, const std::string &benchName,
             if (!parseIntInRange(text, 0, 1, memo))
                 flagError(std::string("bad --memo value ") + text);
             opts.memo = memo != 0;
-        } else if (!std::strcmp(arg, "--memo-cap")) {
-            const char *text = next(i, arg);
-            if (!parseIntInRange(text, 0, 1 << 30, opts.memoCap))
-                flagError(std::string("bad --memo-cap value ") + text);
-        } else if (!std::strcmp(arg, "--chunk")) {
-            const char *text = next(i, arg);
-            if (!parseChunkPolicy(text, opts.chunk))
-                flagError(std::string("bad --chunk policy ") + text);
         } else if (!std::strcmp(arg, "--shard")) {
             const char *text = next(i, arg);
             if (!parseShardSpec(text, opts.shard))
@@ -720,33 +706,12 @@ writeBenchJson(const std::string &benchName)
         out << "  \"suite\": {\"seed\": \"" << opts.suite.seed
             << "\", \"loops\": " << opts.suite.numLoops << "},\n";
     }
-    // The shard/memo stanzas appear only when their flags are active,
-    // so default runs stay byte-comparable across thread counts and
-    // memo on/off (the CI determinism diffs rely on that). The memo
-    // stanza itself is observability, not results: with >1 thread its
-    // counters depend on worker interleaving (which probes hit before
-    // eviction), so it is excluded from the byte-identity guarantee,
-    // like the wall-clock columns.
+    // The shard stanza appears only under --shard, so default runs
+    // stay byte-comparable across thread counts and memo on/off (the
+    // CI determinism diffs rely on that).
     if (opts.shard.active()) {
         out << "  \"shard\": {\"index\": " << opts.shard.index
             << ", \"count\": " << opts.shard.count << "},\n";
-    }
-    if (opts.memoCap > 0) {
-        const SuiteRunner::MemoStats ms = suiteRunner().memoStats();
-        const SingleFlightStats &s = ms.schedule;
-        const SingleFlightStats &b = ms.bounds;
-        out << "  \"memo\": {\"cap\": " << opts.memoCap
-            << ", \"shard\": " << jsonQuote(formatShardSpec(opts.shard))
-            << ", \"stripes\": " << suiteRunner().scheduleMemo().stripeCount()
-            << ", \"requests\": " << s.requests << ", \"computes\": "
-            << s.computes << ", \"entries\": " << s.entries
-            << ", \"evictions\": " << s.evictions
-            << ",\n           \"bounds\": {\"stripes\": "
-            << suiteRunner().boundsStripeCount()
-            << ", \"requests\": " << b.requests
-            << ", \"computes\": " << b.computes << ", \"entries\": "
-            << b.entries << ", \"evictions\": " << b.evictions
-            << "}},\n";
     }
 
     out << "  \"metrics\": {";

@@ -45,18 +45,6 @@ namespace swp::benchutil
  *                    byte-identical either way; 0 re-schedules every
  *                    (graph, machine, II) probe, for measuring the
  *                    memo's effect and for CI's determinism diff.
- *   --memo-cap <n>   LRU size cap on the schedule memo and on the
- *                    MII/RecMII bounds memo (default 0 = unbounded),
- *                    so no memo in the process is unbounded. Results
- *                    are byte-identical at any cap; capped runs report
- *                    both memos' eviction stats in the --json output
- *                    (the stats stanza itself is observability: its
- *                    counters depend on worker interleaving at >1
- *                    thread, like the wall-clock columns, and is no
- *                    part of the byte-identity guarantee).
- *   --chunk <auto|fixed>  job ordering/chunking policy (default auto
- *                    = heaviest loops first). Results are
- *                    byte-identical either way.
  *   --shard <i/N>    evaluate only shard i of N of every grid
  *                    (0-based; grid job j belongs to shard j mod N).
  *                    Each shard's tables and totals cover its own
@@ -106,8 +94,6 @@ struct BenchOptions
     std::string jsonPath;
     int threads = 1;
     bool memo = true;
-    int memoCap = 0;
-    ChunkPolicy chunk = ChunkPolicy::Auto;
     ShardSpec shard;
     bool verify = false;
     bool certify = false;
@@ -219,8 +205,8 @@ BatchJob variantJob(int loopIndex, Variant v, int registers);
 std::vector<BatchJob> protoJobs(std::size_t n, const BatchJob &proto);
 
 /**
- * The process-wide batch runner, built from --threads/--memo/--memo-cap
- * on first use. All harness grids funnel through it so the whole
+ * The process-wide batch runner, built from --threads/--memo on first
+ * use. All harness grids funnel through it so the whole
  * experiment shares one evaluation path (and one MII/RecMII memo).
  */
 SuiteRunner &suiteRunner();
@@ -235,15 +221,15 @@ const ShardSpec &benchShard();
  */
 bool ownsJob(std::size_t i);
 
-/** Run options carrying the process-wide shard spec + chunk policy. */
+/** Run options carrying the process-wide shard spec + verify/certify. */
 RunOptions benchRunOptions();
 
 /**
- * Chunk policy only — for grids whose jobs were already filtered to
- * this shard (e.g. a stage-2 subset built from stage-1's owned
- * results); sharding such a grid again would drop jobs.
+ * benchRunOptions without the shard spec — for grids whose jobs were
+ * already filtered to this shard (e.g. a stage-2 subset built from
+ * stage-1's owned results); sharding such a grid again would drop jobs.
  */
-RunOptions benchChunkOptions();
+RunOptions benchUnshardedOptions();
 
 /** " [shard i/N]" when sharded, "" otherwise — for report headlines. */
 std::string shardSuffix();

@@ -46,7 +46,7 @@ runFig9(benchmark::State &state)
 
                 // A sharded run draws its candidates from the loops it
                 // owns; the later stages' grids are already
-                // shard-filtered through them (chunk policy only).
+                // shard-filtered through them (no second shard filter).
                 std::vector<int> candidates;
                 for (std::size_t i = 0; i < suite.size(); ++i) {
                     if (!incr[i].evaluated)
@@ -63,7 +63,7 @@ runFig9(benchmark::State &state)
                         i, Variant::MaxLtTrafMultiLastIi, registers));
                 const auto spills =
                     benchEvaluate(suite, m, spillJobs,
-                                  benchChunkOptions());
+                                  benchUnshardedOptions());
 
                 // Stage 3: best-of-all where spilling also converged.
                 std::vector<int> members;
@@ -77,7 +77,7 @@ runFig9(benchmark::State &state)
                 }
                 const auto bests =
                     benchEvaluate(suite, m, bestJobs,
-                                  benchChunkOptions());
+                                  benchUnshardedOptions());
 
                 double cyclesIi = 0, cyclesSpill = 0, cyclesBest = 0;
                 int subset = 0, spillWins = 0, iiWins = 0;

@@ -161,7 +161,7 @@ BM_SuiteRunnerBatch(benchmark::State &state)
         jobs.push_back(benchutil::variantJob(
             int(i), benchutil::Variant::MaxLtTrafMultiLastIi, 32));
     }
-    // Honours --shard/--chunk too, so a sharded process times exactly
+    // Honours --shard too, so a sharded process times exactly
     // the slice of the grid it would evaluate in a cluster run.
     for (auto _ : state) {
         benchmark::DoNotOptimize(
@@ -192,17 +192,13 @@ BM_Simulator(benchmark::State &state)
 }
 BENCHMARK(BM_Simulator)->Arg(16)->Arg(64)->Arg(256);
 
-// ---- Memo contention: flat vs striped single-flight hit path -------
+// ---- Memo contention: the single-flight hit path -------------------
 //
 // Every thread hammers the same already-computed key, the worst
-// contention case a memo-hot grid produces. The flat cache serializes
-// hits on one mutex (plus an LRU splice); the striped cache's uncapped
-// stripes serve hits under a shared lock, so threads proceed in
-// parallel. The two single-thread rows should be comparable; at 8
-// threads the striped cache should sustain at least ~2x the flat
-// one's item rate — compare the items_per_second of the
-// /threads:8 rows of this pair to see the stripe win in isolation
-// from scheduling work (bench/scaling measures the end-to-end effect).
+// contention case a memo-hot grid produces: hits serialize on the
+// cache's one mutex. Compare the /threads:1 and /threads:8 rows to see
+// what a hit costs against a job of hundreds of microseconds
+// (bench/scaling measures the end-to-end effect).
 
 constexpr std::uint64_t kHotKey = 42;
 
@@ -213,7 +209,7 @@ hotCompute()
 }
 
 void
-BM_MemoContentionUnstriped(benchmark::State &state)
+BM_MemoContention(benchmark::State &state)
 {
     static SingleFlightCache<std::uint64_t, std::uint64_t> cache;
     std::uint64_t sink = 0;
@@ -224,25 +220,7 @@ BM_MemoContentionUnstriped(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_MemoContentionUnstriped)
-    ->Threads(1)
-    ->Threads(8)
-    ->UseRealTime();
-
-void
-BM_MemoContentionStriped(benchmark::State &state)
-{
-    static StripedSingleFlightCache<std::uint64_t, std::uint64_t> cache(
-        /*capacity=*/0, /*threadsHint=*/8);
-    std::uint64_t sink = 0;
-    for (auto _ : state) {
-        sink += cache.getOrCompute(kHotKey, hotCompute,
-                                   [](const std::uint64_t &) {});
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MemoContentionStriped)
+BENCHMARK(BM_MemoContention)
     ->Threads(1)
     ->Threads(8)
     ->UseRealTime();

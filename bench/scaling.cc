@@ -9,9 +9,9 @@
  * The grid is deliberately memo-*hot*: every benchmark iteration
  * re-runs the identical jobs against a pre-warmed runner, so almost
  * every scheduling probe is a memo hit and the measurement stresses
- * exactly the between-worker paths this perf work targets — striped
- * memo lookups, work-stealing claims, and per-worker arenas — rather
- * than raw scheduling throughput (micro_components covers that).
+ * the between-worker paths — memo lookups and work-stealing claims —
+ * more than raw scheduling throughput (micro_components covers that).
+ * Register allocation is not memoized, so it still dominates each job.
  *
  * Each thread count also reports the per-worker counter breakdown:
  * schedule_s / memo_wait_s / steal_s totals as benchmark counters, and
@@ -63,10 +63,9 @@ runScaling(benchmark::State &state, int threads)
     const std::vector<SuiteLoop> &suite = benchutil::evaluationSuite();
     const Machine m = benchutil::benchMachine();
     const std::vector<BatchJob> jobs = scalingGrid(suite.size());
-    const RunOptions ropts = benchutil::benchChunkOptions();
+    const RunOptions ropts = benchutil::benchUnshardedOptions();
 
-    SuiteRunner runner(threads, benchutil::benchOptions().memo,
-                       benchutil::benchOptions().memoCap);
+    SuiteRunner runner(threads, benchutil::benchOptions().memo);
     runner.run(suite, m, jobs, ropts); // Warm the memos once, untimed.
     runner.resetWorkerPerf();
 
@@ -81,34 +80,29 @@ runScaling(benchmark::State &state, int threads)
     const std::vector<WorkerPerf> perf = runner.workerPerf();
     double schedule = 0, memoWait = 0, steal = 0;
     long steals = 0;
-    std::size_t arenaHw = 0;
     for (const WorkerPerf &w : perf) {
         schedule += w.scheduleSeconds;
         memoWait += w.memoWaitSeconds;
         steal += w.stealSeconds;
         steals += w.steals;
-        arenaHw = std::max(arenaHw, w.arenaHighWaterBytes);
     }
     state.counters["schedule_s"] = schedule;
     state.counters["memo_wait_s"] = memoWait;
     state.counters["steal_s"] = steal;
     state.counters["steals"] = double(steals);
-    state.counters["arena_hw_bytes"] = double(arenaHw);
 
     std::fprintf(stderr,
                  "[scaling] threads=%d jobs=%zu: per-worker "
                  "schedule/memo-wait/steal seconds\n",
                  threads, jobs.size());
     for (std::size_t w = 0; w < perf.size(); ++w) {
-        if (perf[w].jobs == 0 && perf[w].claims == 0)
+        if (perf[w].jobs == 0)
             continue;
         std::fprintf(stderr,
                      "[scaling]   w%zu: sched=%.4fs wait=%.4fs "
-                     "steal=%.4fs jobs=%ld claims=%ld steals=%ld "
-                     "arena=%zuB\n",
+                     "steal=%.4fs jobs=%ld steals=%ld\n",
                      w, perf[w].scheduleSeconds, perf[w].memoWaitSeconds,
-                     perf[w].stealSeconds, perf[w].jobs, perf[w].claims,
-                     perf[w].steals, perf[w].arenaHighWaterBytes);
+                     perf[w].stealSeconds, perf[w].jobs, perf[w].steals);
     }
 }
 

@@ -1,10 +1,10 @@
 # CTest script: prove the sharded CLI workflow end to end.
 #
 # Runs `swpipe_cli --suite` unsharded, then as three shard processes
-# with deliberately different --threads/--chunk/--memo/--memo-cap
-# settings, merges the shard files with --merge-shards, and fails
-# unless the merged stdout is byte-identical to the unsharded run.
-# Also checks that the merge refuses an incomplete shard set.
+# with deliberately different --threads/--memo settings, merges the
+# shard files with --merge-shards, and fails unless the merged stdout
+# is byte-identical to the unsharded run. Also checks that the merge
+# refuses an incomplete shard set.
 #
 # Invoked as:
 #   cmake -DCLI=<swpipe_cli> -DWORK=<scratch dir> -P shard_merge_check.cmake
@@ -31,9 +31,9 @@ run_cli(baseline 0 ${args} --threads 2)
 # Each shard runs under a different execution configuration on purpose:
 # the merge must be byte-identical regardless.
 run_cli(s0 0 ${args} --shard 0/3 --shard-out ${WORK}/swp_s0.json
-    --threads 4 --chunk fixed)
+    --threads 4)
 run_cli(s1 0 ${args} --shard 1/3 --shard-out ${WORK}/swp_s1.json
-    --chunk auto --memo-cap 32)
+    --threads 1)
 run_cli(s2 0 ${args} --shard 2/3 --shard-out ${WORK}/swp_s2.json
     --memo 0)
 

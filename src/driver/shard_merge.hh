@@ -12,7 +12,7 @@
  * files into output byte-identical to an unsharded run — each record is
  * the exact text the unsharded run would have produced for that job, so
  * concatenating them in job order reproduces the run, independent of
- * each shard's thread count, chunking policy, or memo configuration.
+ * each shard's thread count or memo configuration.
  *
  * The merge refuses anything it cannot prove coherent: shards produced
  * by different tools, configurations, suite seeds, or grid sizes;

@@ -7,37 +7,12 @@
 #include "sched/fingerprint.hh"
 #include "sched/ii_search.hh"
 #include "sched/mii.hh"
-#include "support/arena.hh"
 #include "support/diag.hh"
 #include "support/strutil.hh"
 #include "verify/legality.hh"
 
 namespace swp
 {
-
-const char *
-chunkPolicyName(ChunkPolicy policy)
-{
-    switch (policy) {
-      case ChunkPolicy::Auto: return "auto";
-      case ChunkPolicy::Fixed: return "fixed";
-    }
-    SWP_PANIC("unknown chunk policy ", int(policy));
-}
-
-bool
-parseChunkPolicy(const std::string &text, ChunkPolicy &out)
-{
-    if (text == "auto") {
-        out = ChunkPolicy::Auto;
-        return true;
-    }
-    if (text == "fixed") {
-        out = ChunkPolicy::Fixed;
-        return true;
-    }
-    return false;
-}
 
 bool
 parseThreadsArg(const std::string &text, int &out)
@@ -66,10 +41,6 @@ struct TaskScope
     ~TaskScope() { --tlsInTask; }
 };
 
-/** The perf slot of the task this thread is currently working on (0
-    outside any task, which is also the dispatching caller's slot). */
-thread_local std::size_t tlsWorkerSlot = 0;
-
 double
 secondsSince(const std::chrono::steady_clock::time_point &start)
 {
@@ -97,12 +68,9 @@ SuiteRunner::setClaimJitterForTesting(unsigned seed)
     claimJitter_.store(seed, std::memory_order_relaxed);
 }
 
-SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules,
-                         std::size_t memoCap)
+SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules)
     : threads_(resolveThreadCount(threads)),
       memoizeSchedules_(memoizeSchedules),
-      boundsCache_(memoCap, threads_),
-      scheduleMemo_(kVerifyMemoKeys, memoCap, threads_),
       perf_(std::size_t(threads_))
 {
 }
@@ -165,14 +133,15 @@ SuiteRunner::ensurePool() const
 }
 
 /**
- * Take the next chunk for worker `self`: own deque front first
+ * Take the next job index for worker `self`: own deque front first
  * (heaviest remaining of its share), then the back of the next
- * non-empty victim, scanning from self+1. Chunks are never re-inserted
- * after seeding, so a fully-empty scan means the batch is claimed and
- * the worker can retire. The whole hunt is billed to perf.stealSeconds.
+ * non-empty victim, scanning from self+1. Indices are never
+ * re-inserted after seeding, so a fully-empty scan means the batch is
+ * claimed and the worker can retire. The whole hunt is billed to
+ * perf.stealSeconds.
  */
 bool
-SuiteRunner::claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
+SuiteRunner::claim(PoolTask &t, std::size_t self, std::size_t &out,
                    WorkerPerf &perf) const
 {
     const auto start = std::chrono::steady_clock::now();
@@ -195,36 +164,33 @@ SuiteRunner::claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
     {
         PoolTask::Queue &own = t.queues[self];
         std::lock_guard<std::mutex> lock(own.m);
-        if (!own.chunks.empty()) {
-            out = own.chunks.front();
-            own.chunks.pop_front();
+        if (!own.indices.empty()) {
+            out = own.indices.front();
+            own.indices.pop_front();
             ok = true;
         }
     }
     for (std::size_t k = 1; !ok && k < t.queueCount; ++k) {
         PoolTask::Queue &victim = t.queues[(self + k) % t.queueCount];
         std::lock_guard<std::mutex> lock(victim.m);
-        if (!victim.chunks.empty()) {
-            out = victim.chunks.back();
-            victim.chunks.pop_back();
+        if (!victim.indices.empty()) {
+            out = victim.indices.back();
+            victim.indices.pop_back();
             ok = stolen = true;
         }
     }
 
     perf.stealSeconds += secondsSince(start);
-    if (ok) {
-        ++perf.claims;
-        if (stolen)
-            ++perf.steals;
-    }
+    if (stolen)
+        ++perf.steals;
     return ok;
 }
 
 /**
  * Body run by every thread participating in a task (pool threads and
  * the dispatching caller alike): take a worker slot, build per-thread
- * state, then consume chunks from the work-stealing deques until they
- * run dry or a job fails.
+ * state, then consume job indices from the work-stealing deques until
+ * they run dry or a job fails.
  */
 void
 SuiteRunner::runTask(PoolTask &t) const
@@ -240,22 +206,20 @@ SuiteRunner::runTask(PoolTask &t) const
         t.nextSlot.fetch_add(1, std::memory_order_relaxed) % t.queueCount;
 
     WorkerPerf perf;
-    PoolTask::Range r;
-    // Claim a chunk before building any per-thread state. This bounds
-    // the participants to the chunk count (a pool thread waking for a
+    std::size_t i = 0;
+    // Claim a job before building any per-thread state. This bounds
+    // the participants to the job count (a pool thread waking for a
     // batch smaller than the pool backs out after one empty hunt
     // instead of constructing scheduler objects it will never use), and
     // it protects makeWorker's lifetime: a thread that cannot claim a
-    // chunk never touches makeWorker — whose captures are locals of the
+    // job never touches makeWorker — whose captures are locals of the
     // dispatching caller, which only returns once it has observed
     // every deque drained and activeWorkers_ == 0.
-    if (!claim(t, self, r, perf)) {
+    if (!claim(t, self, i, perf)) {
         flushPerf(self, perf);
         return;
     }
     const TaskScope scope;
-    const std::size_t prevSlot = tlsWorkerSlot;
-    tlsWorkerSlot = self;
     // makeWorker() runs on the worker thread too (it allocates
     // per-thread state); a throw there must reach the caller, not
     // std::terminate.
@@ -264,36 +228,25 @@ SuiteRunner::runTask(PoolTask &t) const
         fn = (*t.makeWorker)();
     } catch (...) {
         t.fail();
-        tlsWorkerSlot = prevSlot;
         return;
     }
-    bool aborted = false;
     do {
-        for (std::size_t i = r.first; i < r.second; ++i) {
-            if (t.abort.load(std::memory_order_relaxed)) {
-                aborted = true;
-                break;
-            }
-            const double wait0 = singleFlightWaitSeconds();
-            const auto start = std::chrono::steady_clock::now();
-            try {
-                fn(i);
-            } catch (...) {
-                t.fail();
-            }
-            const double elapsed = secondsSince(start);
-            const double waited = singleFlightWaitSeconds() - wait0;
-            perf.memoWaitSeconds += waited;
-            perf.scheduleSeconds +=
-                elapsed > waited ? elapsed - waited : 0.0;
-            ++perf.jobs;
+        if (t.abort.load(std::memory_order_relaxed))
+            break;
+        const double wait0 = singleFlightWaitSeconds();
+        const auto start = std::chrono::steady_clock::now();
+        try {
+            fn(i);
+        } catch (...) {
+            t.fail();
         }
-    } while (!aborted && claim(t, self, r, perf));
-    // fn (and the per-thread state it owns, e.g. the worker's arena)
-    // dies before the perf flush so arena high-water notes land first.
-    fn = nullptr;
+        const double elapsed = secondsSince(start);
+        const double waited = singleFlightWaitSeconds() - wait0;
+        perf.memoWaitSeconds += waited;
+        perf.scheduleSeconds += elapsed > waited ? elapsed - waited : 0.0;
+        ++perf.jobs;
+    } while (claim(t, self, i, perf));
     flushPerf(self, perf);
-    tlsWorkerSlot = prevSlot;
 }
 
 void
@@ -305,19 +258,7 @@ SuiteRunner::flushPerf(std::size_t slot, const WorkerPerf &perf) const
     w.memoWaitSeconds += perf.memoWaitSeconds;
     w.stealSeconds += perf.stealSeconds;
     w.jobs += perf.jobs;
-    w.claims += perf.claims;
     w.steals += perf.steals;
-    if (perf.arenaHighWaterBytes > w.arenaHighWaterBytes)
-        w.arenaHighWaterBytes = perf.arenaHighWaterBytes;
-}
-
-void
-SuiteRunner::noteArenaHighWater(std::size_t bytes) const
-{
-    std::lock_guard<std::mutex> lock(perfMutex_);
-    WorkerPerf &w = perf_[tlsWorkerSlot % perf_.size()];
-    if (bytes > w.arenaHighWaterBytes)
-        w.arenaHighWaterBytes = bytes;
 }
 
 std::vector<WorkerPerf>
@@ -358,8 +299,7 @@ SuiteRunner::poolMain() const
 
 void
 SuiteRunner::dispatch(std::size_t count,
-                      const std::function<Worker()> &makeWorker,
-                      std::size_t chunk) const
+                      const std::function<Worker()> &makeWorker) const
 {
     if (count == 0)
         return;
@@ -398,24 +338,16 @@ SuiteRunner::dispatch(std::size_t count,
     ensurePool();
 
     auto task = std::make_shared<PoolTask>();
-    task->count = count;
-    task->chunk = chunk ? chunk : 1;
     task->makeWorker = &makeWorker;
-    // Deal the chunks round-robin across one deque per worker, in plan
+    // Deal the indices round-robin across one deque per worker, in plan
     // order: fronts get the heaviest work (planJobOrder ranks the index
-    // space heaviest-first under ChunkPolicy::Auto), backs the light
-    // tail that thieves migrate. Seeding happens before the task is
-    // published, so no lock is needed yet.
+    // space heaviest-first), backs the light tail that thieves migrate.
+    // Seeding happens before the task is published, so no lock is
+    // needed yet.
     task->queueCount = std::size_t(threads_);
     task->queues.reset(new PoolTask::Queue[task->queueCount]);
-    {
-        std::size_t q = 0;
-        for (std::size_t base = 0; base < count; base += task->chunk) {
-            task->queues[q].chunks.push_back(
-                {base, std::min(base + task->chunk, count)});
-            q = (q + 1) % task->queueCount;
-        }
-    }
+    for (std::size_t i = 0; i < count; ++i)
+        task->queues[i % task->queueCount].indices.push_back(i);
     {
         std::lock_guard<std::mutex> lock(poolMutex_);
         task_ = task;
@@ -474,37 +406,35 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
         if (opts.shard.owns(i))
             order.push_back(i);
     }
-    if (opts.chunk == ChunkPolicy::Auto) {
-        // The ranking needs every owned loop's MII; warm the bounds
-        // memo across the pool first so a cold large suite does not
-        // serialize that phase on this thread (the memo is
-        // single-flight and deterministic, so this only moves work).
-        std::vector<std::size_t> distinctLoops;
-        {
-            std::vector<bool> seen(suite.size(), false);
-            for (const std::size_t i : order) {
-                const std::size_t loop = std::size_t(jobs[i].loop);
-                if (!seen[loop]) {
-                    seen[loop] = true;
-                    distinctLoops.push_back(loop);
-                }
+    // The ranking needs every owned loop's MII; warm the bounds memo
+    // across the pool first so a cold large suite does not serialize
+    // that phase on this thread (the memo is single-flight and
+    // deterministic, so this only moves work).
+    std::vector<std::size_t> distinctLoops;
+    {
+        std::vector<bool> seen(suite.size(), false);
+        for (const std::size_t i : order) {
+            const std::size_t loop = std::size_t(jobs[i].loop);
+            if (!seen[loop]) {
+                seen[loop] = true;
+                distinctLoops.push_back(loop);
             }
         }
-        parallelFor(distinctLoops.size(), [&](std::size_t k) {
-            (void)bounds(suite[distinctLoops[k]].graph, m);
-        });
-
-        // Heaviest-first. The costs are deterministic, and the sort is
-        // stable with index-order tie-breaking, so the plan — like the
-        // results — is identical at any thread count.
-        std::vector<double> cost(jobs.size(), 0.0);
-        for (const std::size_t i : order)
-            cost[i] = jobCost(suite, m, jobs[i]);
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::size_t a, std::size_t b) {
-                             return cost[a] > cost[b];
-                         });
     }
+    parallelFor(distinctLoops.size(), [&](std::size_t k) {
+        (void)bounds(suite[distinctLoops[k]].graph, m);
+    });
+
+    // Heaviest-first. The costs are deterministic, and the sort is
+    // stable with index-order tie-breaking, so the plan — like the
+    // results — is identical at any thread count.
+    std::vector<double> cost(jobs.size(), 0.0);
+    for (const std::size_t i : order)
+        cost[i] = jobCost(suite, m, jobs[i]);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return cost[a] > cost[b];
+                     });
     return order;
 }
 
@@ -522,15 +452,6 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
     const std::vector<std::size_t> order =
         planJobOrder(suite, m, jobs, opts);
 
-    // Heaviest-first ordering balances by starting long jobs early, so
-    // it wants the finest claiming grain; fixed-policy batches trade
-    // balance for fewer deque claims.
-    const std::size_t chunk =
-        opts.chunk == ChunkPolicy::Auto
-            ? 1
-            : std::max<std::size_t>(
-                  1, order.size() / (std::size_t(threads_) * 8));
-
     const bool verify = opts.verify || kAlwaysVerifyResults;
     const bool certify = opts.certify || opts.certificates != nullptr;
     std::vector<CertSummary> *certOut = opts.certificates;
@@ -543,25 +464,18 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
         [&]() -> Worker {
             // Per-worker scheduler objects, reused across every job
             // this worker executes (shared_ptr so the returned closure
-            // owns them). The worker's arena backs each job's transient
-            // buffers and is rewound between jobs; its deleter reports
-            // the high-water mark into this worker's perf slot.
+            // owns them).
             std::shared_ptr<ModuloScheduler> hrms =
                 makeScheduler(SchedulerKind::Hrms);
             std::shared_ptr<ModuloScheduler> ims =
                 makeScheduler(SchedulerKind::Ims);
-            std::shared_ptr<Arena> arena(new Arena, [this](Arena *a) {
-                noteArenaHighWater(a->stats().highWaterBytes);
-                delete a;
-            });
             return [this, &suite, &m, &jobs, &results, &order, verify,
-                    certify, certOut, hrms, ims, arena](std::size_t k) {
+                    certify, certOut, hrms, ims](std::size_t k) {
                 const std::size_t i = order[k];
                 const BatchJob &job = jobs[i];
                 const Ddg &g = suite[std::size_t(job.loop)].graph;
                 const LoopBounds b = bounds(g, m);
 
-                arena->reset();
                 EvalContext ctx;
                 const SchedulerKind kind = job.options.scheduler;
                 ctx.scheduler =
@@ -569,7 +483,6 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                 ctx.imsFallback = ims.get();
                 ctx.knownMii = b.mii;
                 ctx.memo = memoizeSchedules_ ? &scheduleMemo_ : nullptr;
-                ctx.arena = arena.get();
 
                 results[i] = job.ideal
                                  ? pipelineIdeal(g, m, kind, &ctx)
@@ -614,66 +527,28 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                     }
                 }
             };
-        },
-        chunk);
+        });
     return results;
-}
-
-std::vector<double>
-simulateWorkerLoads(const std::vector<double> &costs,
-                    const std::vector<std::size_t> &order, int workers,
-                    std::size_t chunk)
-{
-    SWP_ASSERT(workers >= 1, "simulateWorkerLoads needs >= 1 worker");
-    SWP_ASSERT(chunk >= 1, "simulateWorkerLoads needs chunk >= 1");
-    std::vector<double> load(std::size_t(workers), 0.0);
-    // Min-heap of (finish time, worker): the earliest-free worker
-    // claims the next chunk, exactly like the pool's shared counter.
-    using Slot = std::pair<double, int>;
-    std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> free;
-    for (int w = 0; w < workers; ++w)
-        free.push({0.0, w});
-    for (std::size_t base = 0; base < order.size(); base += chunk) {
-        const Slot slot = free.top();
-        free.pop();
-        double sum = 0;
-        const std::size_t end = std::min(base + chunk, order.size());
-        for (std::size_t k = base; k < end; ++k)
-            sum += costs[order[k]];
-        load[std::size_t(slot.second)] += sum;
-        free.push({slot.first + sum, slot.second});
-    }
-    return load;
 }
 
 std::vector<double>
 simulateWorkerLoadsStealing(const std::vector<double> &costs,
                             const std::vector<std::size_t> &order,
-                            int workers, std::size_t chunk)
+                            int workers)
 {
     SWP_ASSERT(workers >= 1,
                "simulateWorkerLoadsStealing needs >= 1 worker");
-    SWP_ASSERT(chunk >= 1,
-               "simulateWorkerLoadsStealing needs chunk >= 1");
     const std::size_t w = std::size_t(workers);
 
-    // Seed exactly like dispatch(): round-robin chunk ranges, fronts
+    // Seed exactly like dispatch(): round-robin positions, fronts
     // heaviest (plan order), backs the light tail.
-    using Range = std::pair<std::size_t, std::size_t>;
-    std::vector<std::deque<Range>> queues(w);
-    {
-        std::size_t q = 0;
-        for (std::size_t base = 0; base < order.size(); base += chunk) {
-            queues[q].push_back(
-                {base, std::min(base + chunk, order.size())});
-            q = (q + 1) % w;
-        }
-    }
+    std::vector<std::deque<std::size_t>> queues(w);
+    for (std::size_t k = 0; k < order.size(); ++k)
+        queues[k % w].push_back(k);
 
     std::vector<double> load(w, 0.0);
     // Event model: the earliest-free worker claims next (ties broken by
-    // worker index, like the priority queue in the static model); a
-    // worker that finds every deque empty retires.
+    // worker index); a worker that finds every deque empty retires.
     using Slot = std::pair<double, int>;
     std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> free;
     for (int i = 0; i < workers; ++i)
@@ -682,28 +557,26 @@ simulateWorkerLoadsStealing(const std::vector<double> &costs,
         const Slot slot = free.top();
         free.pop();
         const std::size_t self = std::size_t(slot.second);
-        Range r{0, 0};
+        std::size_t k = 0;
         bool ok = false;
         if (!queues[self].empty()) {
-            r = queues[self].front();
+            k = queues[self].front();
             queues[self].pop_front();
             ok = true;
         }
-        for (std::size_t k = 1; !ok && k < w; ++k) {
-            std::deque<Range> &victim = queues[(self + k) % w];
+        for (std::size_t v = 1; !ok && v < w; ++v) {
+            std::deque<std::size_t> &victim = queues[(self + v) % w];
             if (!victim.empty()) {
-                r = victim.back();
+                k = victim.back();
                 victim.pop_back();
                 ok = true;
             }
         }
         if (!ok)
-            continue; // Retire: chunks are never re-inserted.
-        double sum = 0;
-        for (std::size_t k = r.first; k < r.second; ++k)
-            sum += costs[order[k]];
-        load[self] += sum;
-        free.push({slot.first + sum, slot.second});
+            continue; // Retire: indices are never re-inserted.
+        const double cost = costs[order[k]];
+        load[self] += cost;
+        free.push({slot.first + cost, slot.second});
     }
     return load;
 }

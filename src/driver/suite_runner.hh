@@ -23,9 +23,9 @@
  *    "no schedule at this II" — is memoized in a ScheduleMemo shared
  *    by all workers, so best-of-all's binary search and the grid's
  *    repeated cells never schedule the same probe twice.
- * All memos are single-flight (two workers never compute one key) and
- * none of them changes results: output is byte-identical with the
- * memos on or off, at any memo size cap.
+ * Both memos are single-flight (two workers never compute one key) and
+ * neither changes results: output is byte-identical with the schedule
+ * memo on or off.
  *
  * Beyond the thread pool, a batch can be split *across processes*: a
  * RunOptions::shard spec assigns job index j to shard j mod N, and a
@@ -35,19 +35,18 @@
  * slot for slot — src/driver/shard_merge provides the file format and
  * validating merge the CLI builds on.
  *
- * Within a run, jobs are claimed in a work-size-aware order: under the
- * default ChunkPolicy::Auto the grid is walked heaviest-first, ranked
- * by a cheap cost estimate (node count x candidate-II span), so a
- * heavy loop starts early instead of serializing one worker at the
- * batch's tail. Claiming is work-stealing: the planned order is dealt
- * round-robin into per-worker chunk deques, each worker pops its own
- * deque from the front (heaviest first) and an idle worker steals from
- * the *back* of a victim's deque (the lightest remaining work, the
- * cheapest to migrate) — so no claim ever touches a shared counter and
- * the tail of a batch self-balances. Ordering, chunking and stealing
- * only change *when* a job runs, never its result or its slot, so
- * output stays byte-identical at any thread count, shard spec, and
- * chunk policy.
+ * Within a run, jobs are claimed in a work-size-aware order: the grid
+ * is walked heaviest-first, ranked by a cheap cost estimate (node
+ * count x candidate-II span), so a heavy loop starts early instead of
+ * serializing one worker at the batch's tail. Claiming is
+ * work-stealing: the planned order is dealt round-robin into
+ * per-worker deques, each worker pops its own deque from the front
+ * (heaviest first) and an idle worker steals from the *back* of a
+ * victim's deque (the lightest remaining work, the cheapest to
+ * migrate) — so no claim ever touches a shared counter and the tail of
+ * a batch self-balances. Ordering and stealing only change *when* a
+ * job runs, never its result or its slot, so output stays
+ * byte-identical at any thread count and shard spec.
  */
 
 #ifndef SWP_DRIVER_SUITE_RUNNER_HH
@@ -91,29 +90,6 @@ struct BatchJob
     PipelinerOptions options;
 };
 
-/** How a batch's jobs are ordered and claimed by the workers. */
-enum class ChunkPolicy
-{
-    /**
-     * Work-size-aware: jobs are walked heaviest-first (by the cost
-     * estimate) and claimed one at a time, so the longest jobs start
-     * earliest and the short tail balances the workers.
-     */
-    Auto,
-
-    /**
-     * Grid order, claimed in fixed contiguous chunks — fewer claims,
-     * no cost ranking. The historical behavior with chunk size 1.
-     */
-    Fixed,
-};
-
-/** "auto" / "fixed". */
-const char *chunkPolicyName(ChunkPolicy policy);
-
-/** Parse "auto" or "fixed"; false (out untouched) otherwise. */
-bool parseChunkPolicy(const std::string &text, ChunkPolicy &out);
-
 /**
  * Parse a --threads value: "auto" resolves to all hardware threads
  * (SuiteRunner's threads == 0 convention) and an integer in [0, 4096]
@@ -125,11 +101,13 @@ bool parseThreadsArg(const std::string &text, int &out);
 
 /**
  * Per-worker wall-time breakdown, maintained by the pool from
- * monotonic-clock deltas. scheduleSeconds is time inside jobs minus
- * the memo waits that happened during them (singleFlightWaitSeconds),
- * so the three buckets answer "is the pool scheduling, waiting on the
- * memos, or hunting for work?". Observability only (stderr/JSON): no
- * result bytes ever depend on these numbers.
+ * monotonic-clock deltas. scheduleSeconds is the whole time inside
+ * jobs — scheduling, register allocation, spilling, verification and
+ * certification alike — minus the memo waits that happened during
+ * them (singleFlightWaitSeconds); despite its name it covers the whole
+ * job. The three buckets answer "is the pool working, waiting on the memos, or
+ * hunting for work?". Observability only (stderr/JSON): no result
+ * bytes ever depend on these numbers.
  */
 struct WorkerPerf
 {
@@ -137,9 +115,7 @@ struct WorkerPerf
     double memoWaitSeconds = 0;  ///< Blocked on another worker's compute.
     double stealSeconds = 0;     ///< Claiming work (own pops and steals).
     long jobs = 0;               ///< Jobs executed.
-    long claims = 0;             ///< Chunks claimed (own + stolen).
-    long steals = 0;             ///< Chunks taken from a victim's deque.
-    std::size_t arenaHighWaterBytes = 0;  ///< Max live arena bytes.
+    long steals = 0;             ///< Jobs taken from a victim's deque.
 };
 
 /** Per-run evaluation options; the defaults reproduce run(3 args). */
@@ -147,8 +123,6 @@ struct RunOptions
 {
     /** Evaluate only this shard's jobs (j mod count == index). */
     ShardSpec shard;
-
-    ChunkPolicy chunk = ChunkPolicy::Auto;
 
     /**
      * Check every result with the independent legality verifier
@@ -176,8 +150,7 @@ struct RunOptions
      * When set (implies certify), resized to jobs.size() and slot i
      * filled with job i's certificate summary; sharded-out slots stay
      * invalid. Summaries are a pure function of the job, so the filled
-     * slots are identical at any thread count, shard spec, and chunk
-     * policy.
+     * slots are identical at any thread count and shard spec.
      */
     std::vector<CertSummary> *certificates = nullptr;
 };
@@ -190,16 +163,10 @@ class SuiteRunner
      * threads == 0 selects the hardware concurrency; 1 runs inline.
      * memoizeSchedules toggles the schedule memo (results are identical
      * either way; off re-schedules every probe — useful for measuring
-     * the memo's effect and for CI's byte-identical diff).
-     * memoCap bounds *both* process-lifetime memos — the schedule memo
-     * and the MII/RecMII bounds memo — with LRU eviction (0 =
-     * unbounded), so a service embedding the driver against an
-     * unbounded stream of distinct loops holds no unbounded map.
-     * Results are byte-identical at any cap; an evicted probe or bound
-     * is simply recomputed on its next request.
+     * the memo's effect and for CI's byte-identical diff). Both memos
+     * keep every entry for the life of the runner.
      */
-    explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true,
-                         std::size_t memoCap = 0);
+    explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true);
     ~SuiteRunner();
 
     SuiteRunner(const SuiteRunner &) = delete;
@@ -228,14 +195,7 @@ class SuiteRunner
     /** The shared probe memo (for tests and observability). */
     ScheduleMemo &scheduleMemo() { return scheduleMemo_; }
 
-    /** Lock stripes backing the bounds memo. */
-    std::size_t boundsStripeCount() const
-    {
-        return boundsCache_.stripeCount();
-    }
-
-    /** Counters of both memos, for tests and tuning. Each memo's
-        counters are one consistent cross-stripe snapshot. */
+    /** Counters of both memos, for tests and tuning. */
     struct MemoStats
     {
         SingleFlightStats bounds;
@@ -257,7 +217,7 @@ class SuiteRunner
     void resetWorkerPerf();
 
     /**
-     * Test-only: when seed != 0 every chunk claim spins a small
+     * Test-only: when seed != 0 every claim spins a small
      * pseudo-random amount first, perturbing the steal interleaving so
      * determinism tests can explore many schedules. Global (affects
      * every runner); reset to 0 after use.
@@ -266,11 +226,11 @@ class SuiteRunner
 
     /**
      * Evaluate all jobs. results[i] corresponds to jobs[i]; the result
-     * vector is bit-identical at any thread count, shard spec, and
-     * chunk policy. Each result's graph() references the suite entry
-     * it was built from unless spilling transformed the loop, so the
-     * suite must outlive the returned results. Exceptions thrown by a
-     * job are rethrown here.
+     * vector is bit-identical at any thread count and shard spec. Each
+     * result's graph() references the suite entry it was built from
+     * unless spilling transformed the loop, so the suite must outlive
+     * the returned results. Exceptions thrown by a job are rethrown
+     * here.
      *
      * With an active opts.shard, only jobs owned by the shard are
      * evaluated; the other slots are left default-constructed (their
@@ -302,8 +262,7 @@ class SuiteRunner
 
     /**
      * The evaluation order run() uses: the indices of the jobs the
-     * shard owns, ranked heaviest-first under ChunkPolicy::Auto and in
-     * grid order under ChunkPolicy::Fixed. Deterministic for a given
+     * shard owns, ranked heaviest-first. Deterministic for a given
      * (suite, machine, jobs, opts); exposed for the property tests.
      */
     std::vector<std::size_t>
@@ -332,25 +291,20 @@ class SuiteRunner
     /** One batch in flight on the persistent pool. */
     struct PoolTask
     {
-        /** One claimed span of job indices: [first, second). */
-        using Range = std::pair<std::size_t, std::size_t>;
-
-        /** One worker's chunk deque: the owner pops the front, idle
-            thieves pop the back. Chunks are only ever removed after
+        /** One worker's index deque: the owner pops the front, idle
+            thieves pop the back. Indices are only ever removed after
             seeding, so "every deque empty" means the batch is fully
             claimed. */
         struct Queue
         {
             std::mutex m;
-            std::deque<Range> chunks;
+            std::deque<std::size_t> indices;
         };
 
-        std::size_t count = 0;
-        std::size_t chunk = 1;
         /** Owned by the dispatching caller; valid while it waits. */
         const std::function<Worker()> *makeWorker = nullptr;
         /** Per-worker deques, seeded round-robin in plan order before
-            the task is published (so the k-heaviest chunks sit at the
+            the task is published (so the heaviest jobs sit at the
             fronts and the light tail at the backs). */
         std::unique_ptr<Queue[]> queues;
         std::size_t queueCount = 0;
@@ -373,15 +327,13 @@ class SuiteRunner
     };
 
     void dispatch(std::size_t count,
-                  const std::function<Worker()> &makeWorker,
-                  std::size_t chunk = 1) const;
+                  const std::function<Worker()> &makeWorker) const;
     void ensurePool() const;
     void poolMain() const;
     void runTask(PoolTask &t) const;
-    bool claim(PoolTask &t, std::size_t self, PoolTask::Range &out,
+    bool claim(PoolTask &t, std::size_t self, std::size_t &out,
                WorkerPerf &perf) const;
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
-    void noteArenaHighWater(std::size_t bytes) const;
 
     int threads_ = 1;
     bool memoizeSchedules_ = true;
@@ -394,8 +346,8 @@ class SuiteRunner
         std::optional<Ddg> graph;
         std::optional<Machine> machine;
     };
-    StripedSingleFlightCache<std::pair<std::uint64_t, std::uint64_t>,
-                             CachedBounds>
+    SingleFlightCache<std::pair<std::uint64_t, std::uint64_t>,
+                      CachedBounds>
         boundsCache_;
 
     ScheduleMemo scheduleMemo_;
@@ -425,31 +377,20 @@ class SuiteRunner
 };
 
 /**
- * Simulate a shared-counter claiming discipline: `workers` greedy
- * workers consume `order` left to right, `chunk` indices per claim,
- * each job costing costs[order[k]]; returns each worker's total
- * simulated busy time. This is the model behind the chunk-policy
- * property tests — it lets the load-balance claim ("heaviest-first
- * ordering shrinks the makespan of a heavy-tailed grid") be asserted
+ * Simulate the pool's work-stealing discipline: the jobs of `order`
+ * are dealt round-robin into per-worker deques, each worker pops its
+ * own front and an idle worker steals the back of the next non-empty
+ * victim (scanning from its own slot); position k costs
+ * costs[order[k]].
+ * Returns each worker's total simulated busy time. Same model as
+ * runTask, so load-balance claims ("heaviest-first ordering shrinks
+ * the makespan of a heavy-tailed grid") can be asserted
  * deterministically, without racing real threads.
- */
-std::vector<double> simulateWorkerLoads(const std::vector<double> &costs,
-                                        const std::vector<std::size_t> &order,
-                                        int workers, std::size_t chunk);
-
-/**
- * Simulate the pool's actual work-stealing discipline: chunks of
- * `order` are dealt round-robin into per-worker deques, each worker
- * pops its own front and an idle worker steals the back of the next
- * non-empty victim (scanning from its own slot). Returns each worker's
- * total simulated busy time; same model as runTask, so the makespan
- * property tests can compare static, chunked and stealing claiming on
- * one footing.
  */
 std::vector<double>
 simulateWorkerLoadsStealing(const std::vector<double> &costs,
                             const std::vector<std::size_t> &order,
-                            int workers, std::size_t chunk);
+                            int workers);
 
 } // namespace swp
 

@@ -28,15 +28,6 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     Ddg work = g;
     int prevIi = 0;
 
-    // Per-round candidate/pick scratch, bump-allocated from the
-    // worker's arena (reset between jobs by the batch driver) or a
-    // local one for standalone calls. Cleared per round; the retained
-    // capacity makes later rounds allocation-free.
-    Arena localArena;
-    Arena &arena = ctx && ctx->arena ? *ctx->arena : localArena;
-    SpillCandidateList candidates{ArenaAllocator<SpillCandidate>(arena)};
-    SpillCandidateList picks{ArenaAllocator<SpillCandidate>(arena)};
-
     // Best over-budget schedule seen so far (lowest register
     // requirement). Kept so that exhausting the rounds or the
     // candidates does not discard valid scheduling work. A null graph
@@ -115,17 +106,18 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
         }
 
         const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
-        spillCandidates(work, lifetimes, opts.spillUses, candidates);
+        const auto candidates =
+            spillCandidates(work, lifetimes, opts.spillUses);
         if (candidates.empty()) {
             // Nothing left to spill: every lifetime is already a spill
             // artifact. Keep the best schedule seen (below).
             break;
         }
 
-        picks.clear();
+        std::vector<SpillCandidate> picks;
         if (opts.multiSelect) {
-            selectMultiple(candidates, opts.heuristic, lifetimes,
-                           opts.registers, picks);
+            picks = selectMultiple(candidates, opts.heuristic, lifetimes,
+                                   opts.registers);
         } else if (auto one = selectOne(candidates, opts.heuristic)) {
             picks.push_back(*one);
         }

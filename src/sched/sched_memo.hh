@@ -21,7 +21,6 @@
 #ifndef SWP_SCHED_SCHED_MEMO_HH
 #define SWP_SCHED_SCHED_MEMO_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -38,36 +37,19 @@ namespace swp
 {
 
 /**
- * Thread-safe, single-flight cache of scheduleAt outcomes.
- *
- * capacity == 0 (the default) keeps every probe for the life of the
- * process — the right trade for one-shot grid evaluations. A positive
- * capacity bounds the memo with LRU eviction (the `--memo-cap` flag of
- * the harnesses) for long-lived services: an evicted probe is simply
- * re-scheduled on its next request, so results are byte-identical at
- * any cap, and the stats() eviction counter reports the churn.
- *
- * The backing store is striped by key fingerprint (threadsHint sizes
- * the stripe array) so a full worker pool hammering the memo doesn't
- * serialize on one mutex; stats() aggregates the stripes under one
- * consistent snapshot.
+ * Thread-safe, single-flight cache of scheduleAt outcomes. Every probe
+ * is kept for the life of the memo — the right trade for grid
+ * evaluations, whose working set is the grid.
  */
 class ScheduleMemo
 {
   public:
     using Stats = SingleFlightStats;
 
-    explicit ScheduleMemo(bool verifyKeys = kVerifyMemoKeys,
-                          std::size_t capacity = 0, int threadsHint = 1)
-        : verifyKeys_(verifyKeys), cache_(capacity, threadsHint)
+    explicit ScheduleMemo(bool verifyKeys = kVerifyMemoKeys)
+        : verifyKeys_(verifyKeys)
     {
     }
-
-    /** The LRU size cap (0 = unbounded). */
-    std::size_t capacity() const { return cache_.capacity(); }
-
-    /** How many lock stripes back the memo. */
-    std::size_t stripeCount() const { return cache_.stripeCount(); }
 
     /**
      * inner.scheduleAt(g, m, ii), memoized. The first caller of a key
@@ -98,7 +80,7 @@ class ScheduleMemo
     };
 
     bool verifyKeys_;
-    StripedSingleFlightCache<Key, CachedProbe> cache_;
+    SingleFlightCache<Key, CachedProbe> cache_;
 };
 
 /**

@@ -3,8 +3,8 @@
  * Cross-process sharding tests: shard-spec parsing and partition
  * properties, shard-file round-trips, the exhaustive small-grid
  * identity property (merged output == serial baseline for every
- * shards x threads x chunk-policy combination), and the merge's
- * refusal of overlapping, missing, and mismatched shard sets.
+ * shards x threads combination), and the merge's refusal of
+ * overlapping, missing, and mismatched shard sets.
  */
 
 #include <gtest/gtest.h>
@@ -246,8 +246,8 @@ shardDocFor(const std::vector<BatchJob> &jobs,
 TEST(ShardMerge, MergedOutputMatchesSerialBaselineExhaustively)
 {
     // The acceptance property, exercised on a small grid for *every*
-    // (shard count, thread count, chunk policy) combination: the
-    // merged shard set is byte-identical to the serial baseline.
+    // (shard count, thread count) combination: the merged shard set is
+    // byte-identical to the serial baseline.
     const std::vector<SuiteLoop> suite = shardTestSuite(6);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = shardTestGrid(suite.size());
@@ -260,31 +260,25 @@ TEST(ShardMerge, MergedOutputMatchesSerialBaselineExhaustively)
 
     for (int shards = 1; shards <= 4; ++shards) {
         for (int threads = 1; threads <= 4; ++threads) {
-            for (const ChunkPolicy chunk :
-                 {ChunkPolicy::Auto, ChunkPolicy::Fixed}) {
-                std::vector<ShardDoc> docs;
-                for (int s = 0; s < shards; ++s) {
-                    SuiteRunner runner(threads);
-                    RunOptions opts;
-                    opts.shard = {s, shards};
-                    opts.chunk = chunk;
-                    const auto results =
-                        runner.run(suite, m, jobs, opts);
-                    // Round-trip through the serializer so the merge
-                    // sees exactly what a cluster run's files carry.
-                    const std::string path =
-                        testing::TempDir() + "/swp_shard_" +
-                        std::to_string(s) + ".json";
-                    writeShardFile(
-                        path, shardDocFor(jobs, results, opts.shard));
-                    docs.push_back(readShardFile(path));
-                }
-                const MergeOutput merged = mergeShards(docs);
-                EXPECT_EQ(merged.text, expected)
-                    << shards << " shards, " << threads << " threads, "
-                    << chunkPolicyName(chunk);
-                EXPECT_EQ(merged.rc, 0);
+            std::vector<ShardDoc> docs;
+            for (int s = 0; s < shards; ++s) {
+                SuiteRunner runner(threads);
+                RunOptions opts;
+                opts.shard = {s, shards};
+                const auto results = runner.run(suite, m, jobs, opts);
+                // Round-trip through the serializer so the merge sees
+                // exactly what a cluster run's files carry.
+                const std::string path = testing::TempDir() +
+                                         "/swp_shard_" +
+                                         std::to_string(s) + ".json";
+                writeShardFile(path,
+                               shardDocFor(jobs, results, opts.shard));
+                docs.push_back(readShardFile(path));
             }
+            const MergeOutput merged = mergeShards(docs);
+            EXPECT_EQ(merged.text, expected)
+                << shards << " shards, " << threads << " threads";
+            EXPECT_EQ(merged.rc, 0);
         }
     }
 }

@@ -297,9 +297,7 @@ TEST(SpillSelect, NoCandidateWhenEverythingNonSpillable)
     s.set(1, 2, 1);
     const LifetimeInfo info = analyzeLifetimes(g, s);
     EXPECT_TRUE(spillCandidates(g, info).empty());
-    EXPECT_FALSE(selectOne(std::vector<SpillCandidate>{},
-                           SpillHeuristic::MaxLT)
-                     .has_value());
+    EXPECT_FALSE(selectOne({}, SpillHeuristic::MaxLT).has_value());
 }
 
 } // namespace
