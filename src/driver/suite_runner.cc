@@ -1,8 +1,10 @@
 #include "driver/suite_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <queue>
+#include <exception>
+#include <thread>
 
 #include "sched/fingerprint.hh"
 #include "sched/ii_search.hh"
@@ -28,10 +30,9 @@ namespace
 {
 
 /**
- * Depth of pool-task bodies running on this thread. A dispatch issued
- * from inside a task (nested parallelFor from a job) must run inline:
- * the pool is busy with the batch that issued it, and waiting for the
- * dispatch slot would deadlock.
+ * Depth of worker bodies running on this thread. A dispatch issued
+ * from inside a job (nested parallelFor) runs inline: the enclosing
+ * batch already keeps every thread busy.
  */
 thread_local int tlsInTask = 0;
 
@@ -58,14 +59,15 @@ resolveThreadCount(int threads)
     return hw ? int(hw) : 1;
 }
 
-} // namespace
+/** Claim-path jitter for the determinism tests (0 = off). */
+std::atomic<unsigned> claimJitter{0};
 
-std::atomic<unsigned> SuiteRunner::claimJitter_{0};
+} // namespace
 
 void
 SuiteRunner::setClaimJitterForTesting(unsigned seed)
 {
-    claimJitter_.store(seed, std::memory_order_relaxed);
+    claimJitter.store(seed, std::memory_order_relaxed);
 }
 
 SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules)
@@ -73,17 +75,6 @@ SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules)
       memoizeSchedules_(memoizeSchedules),
       perf_(std::size_t(threads_))
 {
-}
-
-SuiteRunner::~SuiteRunner()
-{
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        shutdown_ = true;
-    }
-    workCv_.notify_all();
-    for (std::thread &t : pool_)
-        t.join();
 }
 
 SuiteRunner::LoopBounds
@@ -120,145 +111,97 @@ SuiteRunner::bounds(const Ddg &g, const Machine &m)
     return cached.b;
 }
 
-void
-SuiteRunner::ensurePool() const
+struct SuiteRunner::Batch
 {
-    std::lock_guard<std::mutex> lock(poolMutex_);
-    if (!pool_.empty())
-        return;
-    const int spawn = threads_ - 1;
-    pool_.reserve(std::size_t(spawn));
-    for (int t = 0; t < spawn; ++t)
-        pool_.emplace_back([this] { poolMain(); });
-}
+    const std::size_t count;
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<bool> abort{false};
+    std::mutex errorMutex{};
+    std::exception_ptr error{};
 
-/**
- * Take the next job index for worker `self`: own deque front first
- * (heaviest remaining of its share), then the back of the next
- * non-empty victim, scanning from self+1. Indices are never
- * re-inserted after seeding, so a fully-empty scan means the batch is
- * claimed and the worker can retire. The whole hunt is billed to
- * perf.stealSeconds.
- */
-bool
-SuiteRunner::claim(PoolTask &t, std::size_t self, std::size_t &out,
-                   WorkerPerf &perf) const
-{
-    const auto start = std::chrono::steady_clock::now();
-
-    // Test hook: perturb who wins each race so the determinism test
-    // can explore many interleavings (a no-op when unset).
-    const unsigned jitterSeed = claimJitter_.load(std::memory_order_relaxed);
-    if (jitterSeed != 0) {
-        thread_local unsigned state = 0;
-        state = state * 1664525u + 1013904223u + jitterSeed +
-                unsigned(self);
-        volatile unsigned sink = 0;
-        for (unsigned i = 0, n = state % 2048u; i < n; ++i)
-            sink += i;
-        (void)sink;
-    }
-
-    bool ok = false;
-    bool stolen = false;
+    void
+    fail()
     {
-        PoolTask::Queue &own = t.queues[self];
-        std::lock_guard<std::mutex> lock(own.m);
-        if (!own.indices.empty()) {
-            out = own.indices.front();
-            own.indices.pop_front();
-            ok = true;
+        {
+            std::lock_guard<std::mutex> lock(errorMutex);
+            if (!error)
+                error = std::current_exception();
         }
+        abort.store(true, std::memory_order_relaxed);
     }
-    for (std::size_t k = 1; !ok && k < t.queueCount; ++k) {
-        PoolTask::Queue &victim = t.queues[(self + k) % t.queueCount];
-        std::lock_guard<std::mutex> lock(victim.m);
-        if (!victim.indices.empty()) {
-            out = victim.indices.back();
-            victim.indices.pop_back();
-            ok = stolen = true;
-        }
-    }
-
-    perf.stealSeconds += secondsSince(start);
-    if (stolen)
-        ++perf.steals;
-    return ok;
-}
+};
 
 /**
- * Body run by every thread participating in a task (pool threads and
- * the dispatching caller alike): take a worker slot, build per-thread
- * state, then consume job indices from the work-stealing deques until
- * they run dry or a job fails.
+ * Body run by every worker of a batch (spawned threads and the
+ * dispatching caller alike): claim indices from the shared cursor and
+ * run them until the cursor passes the end or a job fails. Every job
+ * that ran, a failing one included, is counted in the worker's perf
+ * slot.
  */
 void
-SuiteRunner::runTask(PoolTask &t) const
+SuiteRunner::work(Batch &batch, std::size_t slot,
+                  const std::function<Worker()> &makeWorker) const
 {
-    if (t.abort.load(std::memory_order_relaxed))
-        return;
-    // Arrival order assigns each participant a deque. More participants
-    // than deques cannot happen (the pool holds threads_ - 1 threads
-    // and the dispatching caller is the last worker), but the modulo
-    // keeps a straggler correct regardless: deques are mutex-guarded,
-    // so sharing one merely shares its work.
-    const std::size_t self =
-        t.nextSlot.fetch_add(1, std::memory_order_relaxed) % t.queueCount;
-
     WorkerPerf perf;
     std::size_t i = 0;
-    // Claim a job before building any per-thread state. This bounds
-    // the participants to the job count (a pool thread waking for a
-    // batch smaller than the pool backs out after one empty hunt
-    // instead of constructing scheduler objects it will never use), and
-    // it protects makeWorker's lifetime: a thread that cannot claim a
-    // job never touches makeWorker — whose captures are locals of the
-    // dispatching caller, which only returns once it has observed
-    // every deque drained and activeWorkers_ == 0.
-    if (!claim(t, self, i, perf)) {
-        flushPerf(self, perf);
-        return;
-    }
-    const TaskScope scope;
-    // makeWorker() runs on the worker thread too (it allocates
-    // per-thread state); a throw there must reach the caller, not
-    // std::terminate.
-    Worker fn;
-    try {
-        fn = (*t.makeWorker)();
-    } catch (...) {
-        t.fail();
-        return;
-    }
-    do {
-        if (t.abort.load(std::memory_order_relaxed))
-            break;
-        const double wait0 = singleFlightWaitSeconds();
+    const auto claim = [&] {
         const auto start = std::chrono::steady_clock::now();
-        try {
-            fn(i);
-        } catch (...) {
-            t.fail();
+        // Test hook: perturb who wins each claim so the determinism
+        // test can explore many interleavings (a no-op when unset).
+        const unsigned jitterSeed =
+            claimJitter.load(std::memory_order_relaxed);
+        if (jitterSeed != 0) {
+            thread_local unsigned state = 0;
+            state = state * 1664525u + 1013904223u + jitterSeed +
+                    unsigned(slot);
+            volatile unsigned sink = 0;
+            for (unsigned k = 0, n = state % 2048u; k < n; ++k)
+                sink += k;
+            (void)sink;
         }
-        const double elapsed = secondsSince(start);
-        const double waited = singleFlightWaitSeconds() - wait0;
-        perf.memoWaitSeconds += waited;
-        perf.scheduleSeconds += elapsed > waited ? elapsed - waited : 0.0;
-        ++perf.jobs;
-    } while (claim(t, self, i, perf));
-    flushPerf(self, perf);
+        i = batch.cursor.fetch_add(1, std::memory_order_relaxed);
+        perf.stealSeconds += secondsSince(start);
+        return i < batch.count &&
+               !batch.abort.load(std::memory_order_relaxed);
+    };
+
+    // Claim before building per-thread state, so a worker that finds
+    // the batch already drained never constructs scheduler objects.
+    if (claim()) {
+        const TaskScope scope;
+        try {
+            const Worker fn = makeWorker();
+            do {
+                const double wait0 = singleFlightWaitSeconds();
+                const auto start = std::chrono::steady_clock::now();
+                ++perf.jobs;
+                try {
+                    fn(i);
+                } catch (...) {
+                    batch.fail();
+                }
+                const double elapsed = secondsSince(start);
+                const double waited = singleFlightWaitSeconds() - wait0;
+                perf.memoWaitSeconds += waited;
+                perf.scheduleSeconds +=
+                    elapsed > waited ? elapsed - waited : 0.0;
+            } while (claim());
+        } catch (...) {
+            batch.fail();  // makeWorker() threw.
+        }
+    }
+    flushPerf(slot, perf);
 }
 
 void
 SuiteRunner::flushPerf(std::size_t slot, const WorkerPerf &perf) const
 {
     std::lock_guard<std::mutex> lock(perfMutex_);
-    WorkerPerf &w = perf_[slot % perf_.size()];
+    WorkerPerf &w = perf_[slot];
     w.scheduleSeconds += perf.scheduleSeconds;
     w.memoWaitSeconds += perf.memoWaitSeconds;
     w.stealSeconds += perf.stealSeconds;
     w.jobs += perf.jobs;
-    w.steals += perf.steals;
 }
 
 std::vector<WorkerPerf>
@@ -276,100 +219,39 @@ SuiteRunner::resetWorkerPerf()
 }
 
 void
-SuiteRunner::poolMain() const
-{
-    std::uint64_t seen = 0;
-    std::unique_lock<std::mutex> lock(poolMutex_);
-    for (;;) {
-        workCv_.wait(lock, [&] { return shutdown_ || taskGen_ != seen; });
-        if (shutdown_)
-            return;
-        seen = taskGen_;
-        const std::shared_ptr<PoolTask> t = task_;
-        if (!t)
-            continue;  // Task already retired; wait for the next one.
-        ++activeWorkers_;
-        lock.unlock();
-        runTask(*t);
-        lock.lock();
-        if (--activeWorkers_ == 0)
-            idleCv_.notify_all();
-    }
-}
-
-void
 SuiteRunner::dispatch(std::size_t count,
                       const std::function<Worker()> &makeWorker) const
 {
     if (count == 0)
         return;
 
-    // Serial path: a single thread, a single job, or a dispatch nested
-    // inside a pool task (which would deadlock waiting for the slot its
-    // own batch holds) runs inline on the calling thread — same
-    // results, no parallel speedup. Nested dispatches skip the perf
-    // accounting: their time is already inside the enclosing job's.
-    if (threads_ == 1 || count == 1 || tlsInTask > 0) {
+    // A dispatch nested inside a job runs inline and skips the perf
+    // accounting: its time is already inside the enclosing job's.
+    if (tlsInTask > 0) {
         const Worker fn = makeWorker();
-        if (tlsInTask > 0) {
-            for (std::size_t i = 0; i < count; ++i)
-                fn(i);
-            return;
-        }
-        WorkerPerf perf;
-        for (std::size_t i = 0; i < count; ++i) {
-            const double wait0 = singleFlightWaitSeconds();
-            const auto start = std::chrono::steady_clock::now();
+        for (std::size_t i = 0; i < count; ++i)
             fn(i);
-            const double elapsed = secondsSince(start);
-            const double waited = singleFlightWaitSeconds() - wait0;
-            perf.memoWaitSeconds += waited;
-            perf.scheduleSeconds +=
-                elapsed > waited ? elapsed - waited : 0.0;
-            ++perf.jobs;
-        }
-        flushPerf(0, perf);
         return;
     }
 
-    // The pool runs one batch at a time; concurrent dispatches from
-    // other threads take turns.
-    const std::lock_guard<std::mutex> slot(dispatchMutex_);
-    ensurePool();
-
-    auto task = std::make_shared<PoolTask>();
-    task->makeWorker = &makeWorker;
-    // Deal the indices round-robin across one deque per worker, in plan
-    // order: fronts get the heaviest work (planJobOrder ranks the index
-    // space heaviest-first), backs the light tail that thieves migrate.
-    // Seeding happens before the task is published, so no lock is
-    // needed yet.
-    task->queueCount = std::size_t(threads_);
-    task->queues.reset(new PoolTask::Queue[task->queueCount]);
-    for (std::size_t i = 0; i < count; ++i)
-        task->queues[i % task->queueCount].indices.push_back(i);
-    {
-        std::lock_guard<std::mutex> lock(poolMutex_);
-        task_ = task;
-        ++taskGen_;
+    // Fork-join: threads - 1 helpers at most (never more workers than
+    // jobs), the caller is worker 0, and every helper is joined before
+    // the first error is rethrown.
+    Batch batch{count};
+    const std::size_t workers = std::min(std::size_t(threads_), count);
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    try {
+        for (std::size_t w = 1; w < workers; ++w)
+            helpers.emplace_back([&, w] { work(batch, w, makeWorker); });
+    } catch (...) {
+        batch.fail();  // Thread creation failed; the spawned ones stop.
     }
-    workCv_.notify_all();
-
-    runTask(*task);  // The caller is the pool's final worker.
-
-    {
-        // activeWorkers_ is incremented under poolMutex_ before a pool
-        // thread enters runTask, so activeWorkers_ == 0 here means no
-        // participant can still touch makeWorker: any thread waking
-        // later either finds task_ reset, or fails to claim an index
-        // (all are claimed by now) and backs out without calling
-        // makeWorker.
-        std::unique_lock<std::mutex> lock(poolMutex_);
-        idleCv_.wait(lock, [&] { return activeWorkers_ == 0; });
-        task_.reset();
-    }
-    if (task->error)
-        std::rethrow_exception(task->error);
+    work(batch, 0, makeWorker);
+    for (std::thread &t : helpers)
+        t.join();
+    if (batch.error)
+        std::rethrow_exception(batch.error);
 }
 
 void
@@ -407,7 +289,7 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
             order.push_back(i);
     }
     // The ranking needs every owned loop's MII; warm the bounds memo
-    // across the pool first so a cold large suite does not serialize
+    // across the workers first so a cold large suite does not serialize
     // that phase on this thread (the memo is single-flight and
     // deterministic, so this only moves work).
     std::vector<std::size_t> distinctLoops;
@@ -529,56 +411,6 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
             };
         });
     return results;
-}
-
-std::vector<double>
-simulateWorkerLoadsStealing(const std::vector<double> &costs,
-                            const std::vector<std::size_t> &order,
-                            int workers)
-{
-    SWP_ASSERT(workers >= 1,
-               "simulateWorkerLoadsStealing needs >= 1 worker");
-    const std::size_t w = std::size_t(workers);
-
-    // Seed exactly like dispatch(): round-robin positions, fronts
-    // heaviest (plan order), backs the light tail.
-    std::vector<std::deque<std::size_t>> queues(w);
-    for (std::size_t k = 0; k < order.size(); ++k)
-        queues[k % w].push_back(k);
-
-    std::vector<double> load(w, 0.0);
-    // Event model: the earliest-free worker claims next (ties broken by
-    // worker index); a worker that finds every deque empty retires.
-    using Slot = std::pair<double, int>;
-    std::priority_queue<Slot, std::vector<Slot>, std::greater<Slot>> free;
-    for (int i = 0; i < workers; ++i)
-        free.push({0.0, i});
-    while (!free.empty()) {
-        const Slot slot = free.top();
-        free.pop();
-        const std::size_t self = std::size_t(slot.second);
-        std::size_t k = 0;
-        bool ok = false;
-        if (!queues[self].empty()) {
-            k = queues[self].front();
-            queues[self].pop_front();
-            ok = true;
-        }
-        for (std::size_t v = 1; !ok && v < w; ++v) {
-            std::deque<std::size_t> &victim = queues[(self + v) % w];
-            if (!victim.empty()) {
-                k = victim.back();
-                victim.pop_back();
-                ok = true;
-            }
-        }
-        if (!ok)
-            continue; // Retire: indices are never re-inserted.
-        const double cost = costs[order[k]];
-        load[self] += cost;
-        free.push({slot.first + cost, slot.second});
-    }
-    return load;
 }
 
 } // namespace swp

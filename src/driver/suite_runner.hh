@@ -4,19 +4,17 @@
  *
  * The paper's experiments are grids: every loop of the suite x every
  * strategy x every register-file size. SuiteRunner evaluates such a
- * batch of (loop, strategy, options) jobs across a pool of worker
- * threads while keeping the output *deterministic*: results[i] always
- * corresponds to jobs[i], every job is evaluated independently with no
- * shared mutable state, and all reductions are left to the caller (who
- * accumulates in index order), so the same batch produces bit-identical
- * results at any thread count.
+ * batch of (loop, strategy, options) jobs on several threads while
+ * keeping the output *deterministic*: results[i] always corresponds to
+ * jobs[i], every job is evaluated independently with no shared mutable
+ * state, and all reductions are left to the caller (who accumulates in
+ * index order), so the same batch produces bit-identical results at
+ * any thread count.
  *
  * Per-call costs the serial harnesses used to pay on every job are
  * amortized here:
- *  - worker threads are spawned once and persist across batches (the
- *    bench harnesses dispatch the same grid dozens of times);
- *  - scheduler objects are constructed once per worker thread and
- *    reused across all its jobs;
+ *  - scheduler objects are constructed once per worker and reused
+ *    across all its jobs in a batch;
  *  - the MII/RecMII of each input loop is memoized per (graph content,
  *    machine) across batches;
  *  - every (graph, machine, II, scheduler) probe outcome — including
@@ -27,7 +25,7 @@
  * neither changes results: output is byte-identical with the schedule
  * memo on or off.
  *
- * Beyond the thread pool, a batch can be split *across processes*: a
+ * Beyond threads, a batch can be split *across processes*: a
  * RunOptions::shard spec assigns job index j to shard j mod N, and a
  * sharded run() evaluates only its own jobs (the others' result slots
  * are left default-constructed). Because every job is a pure function
@@ -35,34 +33,24 @@
  * slot for slot — src/driver/shard_merge provides the file format and
  * validating merge the CLI builds on.
  *
- * Within a run, jobs are claimed in a work-size-aware order: the grid
- * is walked heaviest-first, ranked by a cheap cost estimate (node
- * count x candidate-II span), so a heavy loop starts early instead of
- * serializing one worker at the batch's tail. Claiming is
- * work-stealing: the planned order is dealt round-robin into
- * per-worker deques, each worker pops its own deque from the front
- * (heaviest first) and an idle worker steals from the *back* of a
- * victim's deque (the lightest remaining work, the cheapest to
- * migrate) — so no claim ever touches a shared counter and the tail of
- * a batch self-balances. Ordering and stealing only change *when* a
- * job runs, never its result or its slot, so output stays
- * byte-identical at any thread count and shard spec.
+ * Each batch is a scoped fork-join: the dispatching call spawns up to
+ * threads - 1 helper threads, works as worker 0 itself, and joins them
+ * all before it returns, so a runner holds no thread between calls.
+ * Every worker claims job indices from one atomic cursor over a
+ * heaviest-first order (ranked by node count x candidate-II span), so
+ * a heavy loop starts early instead of serializing one worker at the
+ * batch's tail. Claim order never changes a job's result or its slot.
  */
 
 #ifndef SWP_DRIVER_SUITE_RUNNER_HH
 #define SWP_DRIVER_SUITE_RUNNER_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -100,22 +88,22 @@ struct BatchJob
 bool parseThreadsArg(const std::string &text, int &out);
 
 /**
- * Per-worker wall-time breakdown, maintained by the pool from
+ * Per-worker wall-time breakdown, maintained by the workers from
  * monotonic-clock deltas. scheduleSeconds is the whole time inside
  * jobs — scheduling, register allocation, spilling, verification and
  * certification alike — minus the memo waits that happened during
  * them (singleFlightWaitSeconds); despite its name it covers the whole
- * job. The three buckets answer "is the pool working, waiting on the memos, or
- * hunting for work?". Observability only (stderr/JSON): no result
+ * job. stealSeconds and steals keep their old names because
+ * perfbench reads them. Observability only (stderr/JSON): no result
  * bytes ever depend on these numbers.
  */
 struct WorkerPerf
 {
     double scheduleSeconds = 0;  ///< Executing jobs, memo waits excluded.
     double memoWaitSeconds = 0;  ///< Blocked on another worker's compute.
-    double stealSeconds = 0;     ///< Claiming work (own pops and steals).
-    long jobs = 0;               ///< Jobs executed.
-    long steals = 0;             ///< Jobs taken from a victim's deque.
+    double stealSeconds = 0;     ///< Claiming indices from the cursor.
+    long jobs = 0;               ///< Jobs executed, failed ones included.
+    long steals = 0;             ///< Always 0.
 };
 
 /** Per-run evaluation options; the defaults reproduce run(3 args). */
@@ -155,7 +143,7 @@ struct RunOptions
     std::vector<CertSummary> *certificates = nullptr;
 };
 
-/** Deterministic worker-pool evaluator for batches of pipeline jobs. */
+/** Deterministic multi-threaded evaluator for batches of pipeline jobs. */
 class SuiteRunner
 {
   public:
@@ -167,7 +155,6 @@ class SuiteRunner
      * keep every entry for the life of the runner.
      */
     explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true);
-    ~SuiteRunner();
 
     SuiteRunner(const SuiteRunner &) = delete;
     SuiteRunner &operator=(const SuiteRunner &) = delete;
@@ -210,16 +197,16 @@ class SuiteRunner
     /**
      * Snapshot of the per-worker counters accumulated since
      * construction or the last resetWorkerPerf(); slot w belongs to the
-     * w-th participant of each batch (slot 0 includes the dispatching
-     * caller and all serial-path work).
+     * w-th worker of each batch (slot 0 is the dispatching caller, the
+     * only worker of a one-thread runner or a one-job batch).
      */
     std::vector<WorkerPerf> workerPerf() const;
     void resetWorkerPerf();
 
     /**
      * Test-only: when seed != 0 every claim spins a small
-     * pseudo-random amount first, perturbing the steal interleaving so
-     * determinism tests can explore many schedules. Global (affects
+     * pseudo-random amount first, perturbing which worker claims which
+     * job so determinism tests can explore many schedules. Global (affects
      * every runner); reset to 0 after use.
      */
     static void setClaimJitterForTesting(unsigned seed);
@@ -230,7 +217,8 @@ class SuiteRunner
      * result's graph() references the suite entry it was built from
      * unless spilling transformed the loop, so the suite must outlive
      * the returned results. Exceptions thrown by a job are rethrown
-     * here.
+     * here. Concurrent calls on one runner are safe; each runs its
+     * own batch.
      *
      * With an active opts.shard, only jobs owned by the shard are
      * evaluated; the other slots are left default-constructed (their
@@ -272,67 +260,29 @@ class SuiteRunner
 
     /**
      * Deterministic parallel-for: fn(i) for every i in [0, count), in
-     * unspecified order across the pool. fn must only write to
-     * per-index state (e.g. slot i of a pre-sized vector); exceptions
-     * are rethrown on the calling thread.
+     * unspecified order across the workers. fn must only write to
+     * per-index state (e.g. slot i of a pre-sized vector); the first
+     * exception is rethrown on the calling thread once every worker
+     * has stopped. A call from inside a job runs inline.
      */
     void parallelFor(std::size_t count,
                      const std::function<void(std::size_t)> &fn) const;
 
   private:
     /**
-     * Pool skeleton: makeWorker() is invoked once per participating
-     * thread (to build per-thread state such as scheduler objects); the
-     * returned callable is then fed indices claimed from the task's
-     * work-stealing deques.
+     * makeWorker() is invoked once per participating thread (to build
+     * per-thread state such as scheduler objects); the returned
+     * callable is then fed the indices that thread claims.
      */
     using Worker = std::function<void(std::size_t)>;
 
-    /** One batch in flight on the persistent pool. */
-    struct PoolTask
-    {
-        /** One worker's index deque: the owner pops the front, idle
-            thieves pop the back. Indices are only ever removed after
-            seeding, so "every deque empty" means the batch is fully
-            claimed. */
-        struct Queue
-        {
-            std::mutex m;
-            std::deque<std::size_t> indices;
-        };
-
-        /** Owned by the dispatching caller; valid while it waits. */
-        const std::function<Worker()> *makeWorker = nullptr;
-        /** Per-worker deques, seeded round-robin in plan order before
-            the task is published (so the heaviest jobs sit at the
-            fronts and the light tail at the backs). */
-        std::unique_ptr<Queue[]> queues;
-        std::size_t queueCount = 0;
-        /** Arrival-order worker slots (deque ownership + perf slot). */
-        std::atomic<std::size_t> nextSlot{0};
-        std::atomic<bool> abort{false};
-        std::mutex errorMutex;
-        std::exception_ptr error;
-
-        void
-        fail()
-        {
-            {
-                std::lock_guard<std::mutex> lock(errorMutex);
-                if (!error)
-                    error = std::current_exception();
-            }
-            abort.store(true, std::memory_order_relaxed);
-        }
-    };
+    /** One batch in flight: the shared cursor and its first error. */
+    struct Batch;
 
     void dispatch(std::size_t count,
                   const std::function<Worker()> &makeWorker) const;
-    void ensurePool() const;
-    void poolMain() const;
-    void runTask(PoolTask &t) const;
-    bool claim(PoolTask &t, std::size_t self, std::size_t &out,
-               WorkerPerf &perf) const;
+    void work(Batch &batch, std::size_t slot,
+              const std::function<Worker()> &makeWorker) const;
     void flushPerf(std::size_t slot, const WorkerPerf &perf) const;
 
     int threads_ = 1;
@@ -352,45 +302,11 @@ class SuiteRunner
 
     ScheduleMemo scheduleMemo_;
 
-    /** Per-worker counters (slot per pool participant), merged by the
-        workers as they finish a task. */
+    /** Per-worker counters (slot w for the w-th worker of each
+        batch), merged by the workers as they finish a batch. */
     mutable std::mutex perfMutex_;
     mutable std::vector<WorkerPerf> perf_;
-
-    /** Claim-path jitter for the determinism tests (0 = off). */
-    static std::atomic<unsigned> claimJitter_;
-
-    /** @name Persistent worker pool (threads_ - 1 threads; the
-        dispatching caller is the final worker). Spawned on first
-        parallel dispatch, joined in the destructor. */
-    /// @{
-    mutable std::mutex dispatchMutex_;  ///< One batch in flight at once.
-    mutable std::mutex poolMutex_;
-    mutable std::condition_variable workCv_;  ///< New task or shutdown.
-    mutable std::condition_variable idleCv_;  ///< activeWorkers_ -> 0.
-    mutable std::vector<std::thread> pool_;
-    mutable std::shared_ptr<PoolTask> task_;
-    mutable std::uint64_t taskGen_ = 0;
-    mutable int activeWorkers_ = 0;
-    mutable bool shutdown_ = false;
-    /// @}
 };
-
-/**
- * Simulate the pool's work-stealing discipline: the jobs of `order`
- * are dealt round-robin into per-worker deques, each worker pops its
- * own front and an idle worker steals the back of the next non-empty
- * victim (scanning from its own slot); position k costs
- * costs[order[k]].
- * Returns each worker's total simulated busy time. Same model as
- * runTask, so load-balance claims ("heaviest-first ordering shrinks
- * the makespan of a heavy-tailed grid") can be asserted
- * deterministically, without racing real threads.
- */
-std::vector<double>
-simulateWorkerLoadsStealing(const std::vector<double> &costs,
-                            const std::vector<std::size_t> &order,
-                            int workers);
 
 } // namespace swp
 

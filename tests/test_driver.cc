@@ -2,17 +2,19 @@
  * @file
  * Batch driver tests: deterministic results at any thread count on the
  * pinned-seed suite — with the schedule memo on or off — the
- * single-flight MII/RecMII and schedule memos, the persistent worker
- * pool, and the parallel-for primitive.
+ * single-flight MII/RecMII and schedule memos, the fork-join dispatch
+ * over one shared claim cursor, and the parallel-for primitive.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 
 #include "driver/suite_runner.hh"
 #include "sched/fingerprint.hh"
@@ -66,6 +68,24 @@ mixedGrid(std::size_t loops)
         jobs.push_back(best);
     }
     return jobs;
+}
+
+/**
+ * Greedy list-scheduling model of the shared-cursor claim: whichever
+ * worker frees up first (ties to the lower index) takes the next plan
+ * position, and position k costs costs[order[k]]. A worker is busy from
+ * time 0 until it retires, so its free time is its load. Returns each
+ * worker's total busy time, so load-balance claims can be asserted
+ * deterministically, without racing real threads.
+ */
+std::vector<double>
+simulateWorkerLoads(const std::vector<double> &costs,
+                    const std::vector<std::size_t> &order, int workers)
+{
+    std::vector<double> load(std::size_t(workers), 0.0);
+    for (const std::size_t job : order)
+        *std::min_element(load.begin(), load.end()) += costs[job];
+    return load;
 }
 
 void
@@ -263,8 +283,9 @@ TEST(SuiteRunner, MemosAreSingleFlight)
 
 TEST(SuiteRunner, PoolSurvivesAFailedBatchAndRunsAgain)
 {
-    // The persistent pool must come back clean after a batch whose jobs
-    // throw: the next dispatch reuses the same threads and completes.
+    // A runner must stay usable after a batch whose jobs throw: the
+    // failed batch leaves no state behind, and the next dispatch
+    // covers every index.
     SuiteRunner runner(4);
     EXPECT_THROW(runner.parallelFor(64,
                                     [](std::size_t i) {
@@ -282,8 +303,8 @@ TEST(SuiteRunner, PoolSurvivesAFailedBatchAndRunsAgain)
 
 TEST(SuiteRunner, NestedParallelForRunsInlineWithoutDeadlock)
 {
-    // A job that itself calls parallelFor on the same runner must not
-    // deadlock waiting for the pool its own batch occupies.
+    // A job that itself calls parallelFor on the same runner runs the
+    // inner loop inline instead of forking again.
     SuiteRunner runner(4);
     std::vector<int> outer(16, 0);
     runner.parallelFor(outer.size(), [&](std::size_t i) {
@@ -353,7 +374,7 @@ TEST(SuiteRunner, ZeroThreadsSelectsHardwareConcurrency)
 
 TEST(SuiteRunner, ShardsAndThreadsAllAgree)
 {
-    // Ordering, stealing, and sharding change when (and where) a job
+    // Ordering, claiming, and sharding change when (and where) a job
     // runs — never its result: every combination agrees slot for slot
     // with the serial baseline on the slots it evaluated.
     const std::vector<SuiteLoop> suite = testSuite(10);
@@ -440,11 +461,11 @@ TEST(SuiteRunner, ClaimOrderNeverReordersResultsOnRandomGrids)
 TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
 {
     // The load-balance claim behind planJobOrder, asserted on the
-    // work-stealing model: on a grid whose few heavy jobs sit at the
-    // tail, grid order deals them to the backs of their owners' deques
-    // where they start last, while heaviest-first ordering starts them
-    // at once and lets the other workers steal the owners' light jobs
-    // — strictly shrinking the makespan.
+    // shared-cursor model: on a grid whose few heavy jobs sit at the
+    // tail, grid order claims them last, after every worker is already
+    // loaded, while heaviest-first ordering starts them at once and
+    // lets the other workers drain the light jobs around them —
+    // strictly shrinking the makespan.
     const int workers = 4;
     std::vector<double> costs(64, 1.0);
     for (std::size_t i = costs.size() - 2; i < costs.size(); ++i)
@@ -459,9 +480,9 @@ TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
                      });
 
     const std::vector<double> gridLoads =
-        simulateWorkerLoadsStealing(costs, gridOrder, workers);
+        simulateWorkerLoads(costs, gridOrder, workers);
     const std::vector<double> plannedLoads =
-        simulateWorkerLoadsStealing(costs, heavyFirst, workers);
+        simulateWorkerLoads(costs, heavyFirst, workers);
 
     const auto makespan = [](const std::vector<double> &loads) {
         return *std::max_element(loads.begin(), loads.end());
@@ -491,16 +512,16 @@ TEST(SuiteRunner, HeaviestFirstOrderingImprovesHeavyTailLoadSpread)
     const std::vector<std::size_t> planned =
         runner.planJobOrder(suite, m, jobs);
     EXPECT_LE(
-        makespan(simulateWorkerLoadsStealing(gridCosts, planned, workers)),
-        makespan(simulateWorkerLoadsStealing(gridCosts, byIndex, workers)));
+        makespan(simulateWorkerLoads(gridCosts, planned, workers)),
+        makespan(simulateWorkerLoads(gridCosts, byIndex, workers)));
 }
 
-TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
+TEST(SuiteRunner, ClaimOrderDeterministicAcrossInterleavings)
 {
-    // Results must not depend on which worker claims or steals which
-    // job. The jitter hook perturbs every claim with a seeded spin,
-    // forcing 20 different steal interleavings; all must match the
-    // serial run byte-for-byte.
+    // Results must not depend on which worker claims which job. The
+    // jitter hook perturbs every claim with a seeded spin, forcing 20
+    // different claim interleavings; all must match the serial run
+    // byte-for-byte.
     const std::vector<SuiteLoop> suite = testSuite(10);
     const Machine m = Machine::p2l4();
     const std::vector<BatchJob> jobs = mixedGrid(suite.size());
@@ -517,61 +538,6 @@ TEST(SuiteRunner, WorkStealingDeterministicAcrossInterleavings)
             expectIdenticalResults(baseline[i], results[i], i);
     }
     SuiteRunner::setClaimJitterForTesting(0);
-}
-
-TEST(SuiteRunner, StealingModelBeatsStaticPartitionAndConservesWork)
-{
-    // The load-balance claim behind work-stealing: with the heavy jobs
-    // at the fronts of their owners' deques, the idle workers drain
-    // the owners' remaining light jobs from the back, so the makespan
-    // drops to a heavy job itself instead of a whole static partition.
-    const int workers = 4;
-    std::vector<double> costs(64, 1.0);
-    for (std::size_t i = 0; i < 2; ++i)
-        costs[i] = 40.0; // Heavy head (plan order is heaviest-first).
-
-    std::vector<std::size_t> heavyFirst(costs.size());
-    std::iota(heavyFirst.begin(), heavyFirst.end(), 0);
-    std::vector<std::size_t> heavyLast(heavyFirst.rbegin(),
-                                       heavyFirst.rend());
-
-    const auto makespan = [](const std::vector<double> &loads) {
-        return *std::max_element(loads.begin(), loads.end());
-    };
-    const double total = std::accumulate(costs.begin(), costs.end(), 0.0);
-
-    // Static partitioning: grid order, one ceil(n/workers) block each.
-    const std::size_t block =
-        (costs.size() + std::size_t(workers) - 1) / std::size_t(workers);
-    std::vector<double> staticLoads(std::size_t(workers), 0.0);
-    for (std::size_t k = 0; k < heavyLast.size(); ++k)
-        staticLoads[k / block] += costs[heavyLast[k]];
-
-    const std::vector<double> stealing =
-        simulateWorkerLoadsStealing(costs, heavyFirst, workers);
-    EXPECT_LT(makespan(stealing), makespan(staticLoads));
-
-    // Heaviest-first seeding matters for stealing too: a heavy job
-    // buried at the back of its owner's deque is claimed too late for
-    // anyone to help with it.
-    const std::vector<double> buried =
-        simulateWorkerLoadsStealing(costs, heavyLast, workers);
-    EXPECT_LT(makespan(stealing), makespan(buried));
-
-    // Stealing executes all the work exactly once at any worker count.
-    for (const int w : {1, 2, 4, 7}) {
-        const std::vector<double> loads =
-            simulateWorkerLoadsStealing(costs, heavyFirst, w);
-        EXPECT_DOUBLE_EQ(std::accumulate(loads.begin(), loads.end(), 0.0),
-                         total)
-            << "workers " << w;
-    }
-
-    // One worker degenerates to the serial sum.
-    const std::vector<double> solo =
-        simulateWorkerLoadsStealing(costs, heavyFirst, 1);
-    ASSERT_EQ(solo.size(), 1u);
-    EXPECT_DOUBLE_EQ(solo[0], total);
 }
 
 TEST(SuiteRunner, WorkerPerfCountsEveryJobOnce)
@@ -611,6 +577,59 @@ TEST(SuiteRunner, WorkerPerfCountsEveryJobOnce)
     ASSERT_EQ(sp.size(), 1u);
     EXPECT_EQ(sp[0].jobs, expected);
     EXPECT_EQ(sp[0].steals, 0);
+}
+
+TEST(SuiteRunner, WorkerPerfCountsJobsOfAFailedBatch)
+{
+    // A job that throws still ran: every invocation, the failing one
+    // included, is counted on some worker, on a one-thread runner as
+    // well as on a multi-threaded one.
+    for (const int threads : {1, 4}) {
+        SuiteRunner runner(threads);
+        std::atomic<long> calls{0};
+        EXPECT_THROW(runner.parallelFor(5,
+                                        [&](std::size_t i) {
+                                            ++calls;
+                                            if (i == 3)
+                                                throw std::runtime_error(
+                                                    "x");
+                                        }),
+                     std::runtime_error);
+        long jobs = 0;
+        for (const WorkerPerf &w : runner.workerPerf())
+            jobs += w.jobs;
+        EXPECT_GE(calls.load(), 1) << threads << " threads";
+        EXPECT_EQ(jobs, calls.load()) << threads << " threads";
+        if (threads == 1) {
+            EXPECT_EQ(jobs, 4) << "one worker claims 0..3 in order";
+        }
+    }
+}
+
+TEST(SuiteRunner, ConcurrentRunsOnOneRunnerMatchSerial)
+{
+    // Two threads may call run() on one runner at once: each call forks
+    // its own workers over the shared memos, and both results match a
+    // serial run byte for byte.
+    const std::vector<SuiteLoop> suite = testSuite(10);
+    const Machine m = Machine::p2l4();
+    const std::vector<BatchJob> jobs = mixedGrid(suite.size());
+
+    SuiteRunner serial(1);
+    const auto baseline = serial.run(suite, m, jobs);
+
+    SuiteRunner shared(4);
+    std::vector<PipelineResult> a, b;
+    std::thread ta([&] { a = shared.run(suite, m, jobs); });
+    std::thread tb([&] { b = shared.run(suite, m, jobs); });
+    ta.join();
+    tb.join();
+    ASSERT_EQ(a.size(), jobs.size());
+    ASSERT_EQ(b.size(), jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        expectIdenticalResults(baseline[i], a[i], i);
+        expectIdenticalResults(baseline[i], b[i], i);
+    }
 }
 
 TEST(SuiteRunner, ParseThreadsArgAcceptsAutoAndChecksRange)
