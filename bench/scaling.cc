@@ -7,11 +7,10 @@
  *
  * Every benchmark iteration re-runs the identical jobs against a
  * runner whose memos were warmed by one untimed pass, so the
- * scheduling probes are memo hits. That does not make the grid cheap:
- * register allocation, spilling and verification are not memoized and
- * dominate each job, so a warmed pass is only a few percent faster
- * than a cold one. The rows measure whole-job throughput per thread
- * count; micro_components covers the individual layers.
+ * scheduling probes are memo hits. Register allocation, spilling and
+ * verification are not memoized and still run in every job, so the
+ * rows measure whole-job throughput per thread count, not memo
+ * lookups; micro_components covers the individual layers.
  *
  * Each thread count also reports the per-worker counter breakdown:
  * schedule_s / memo_wait_s / claim_s totals as benchmark counters, and

@@ -1,8 +1,10 @@
 #include "regalloc/rotalloc.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 
+#include "support/bitmatrix.hh"
 #include "support/diag.hh"
 #include "support/strutil.hh"
 
@@ -11,13 +13,6 @@ namespace swp
 
 namespace
 {
-
-/** An occupied arc [start, start+len) on the allocation circle. */
-struct Arc
-{
-    long start;
-    long len;
-};
 
 /** floorMod for longs. */
 long
@@ -36,50 +31,159 @@ arcsOverlap(long q1, long l1, long q2, long l2, long circ)
     return fmod2(q2 - q1, circ) < l1 || fmod2(q1 - q2, circ) < l2;
 }
 
-/** Gap from q backwards to the end of the nearest occupied arc. */
-long
-leftGap(const std::vector<Arc> &occupied, long q, long circ)
+/**
+ * Occupancy of the allocation circle, one bit per cell: cell c of the
+ * C = R*II circle is set when an allocated arc covers it. Arcs never
+ * overlap, so the set bit nearest to a free cell is the end (looking
+ * backwards) or the start (looking forwards) of the nearest arc, and
+ * the end-fit/best-fit gaps become clz/ctz scans instead of a walk
+ * over every allocated arc.
+ */
+class Circle
 {
-    long best = circ;
-    for (const Arc &a : occupied)
-        best = std::min(best, fmod2(q - (a.start + a.len), circ));
-    return best;
-}
-
-/** Gap from q+len forward to the start of the nearest occupied arc. */
-long
-rightGap(const std::vector<Arc> &occupied, long q, long len, long circ)
-{
-    long best = circ;
-    for (const Arc &a : occupied)
-        best = std::min(best, fmod2(a.start - (q + len), circ));
-    return best;
-}
-
-} // namespace
-
-const char *
-fitStrategyName(FitStrategy s)
-{
-    switch (s) {
-      case FitStrategy::EndFit: return "end-fit";
-      case FitStrategy::FirstFit: return "first-fit";
-      case FitStrategy::BestFit: return "best-fit";
+  public:
+    /** Clear to `cells` free cells; storage is reused. */
+    void
+    reset(long cells)
+    {
+        cells_ = std::max(cells, 0L);
+        words_.assign(std::size_t((cells_ + 63) / 64), 0);
+        empty_ = true;
     }
-    SWP_PANIC("unknown fit strategy ", int(s));
-}
 
-RotAllocResult
-allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
-                 FitStrategy strategy, AllocOrder order)
+    bool empty() const { return empty_; }
+
+    /** True if circular [q, q+len) is free; q < C, 0 < len <= C. */
+    bool
+    isFree(long q, long len) const
+    {
+        const long end = q + len;
+        if (end <= cells_)
+            return rangeFree(q, end);
+        return rangeFree(q, cells_) && rangeFree(0, end - cells_);
+    }
+
+    /** Mark circular [q, q+len) occupied; same bounds as isFree. */
+    void
+    occupy(long q, long len)
+    {
+        const long end = q + len;
+        if (end <= cells_) {
+            setRange(q, end);
+        } else {
+            setRange(q, cells_);
+            setRange(0, end - cells_);
+        }
+        empty_ = false;
+    }
+
+    /** Free cells between the nearest occupied cell before q and q;
+        C when the circle is empty. */
+    long
+    leftGap(long q) const
+    {
+        if (empty_)
+            return cells_;
+        long p = q > 0 ? lastSetAtOrBefore(q - 1) : -1;
+        if (p < 0)
+            p = lastSetAtOrBefore(cells_ - 1) - cells_;
+        return q - 1 - p;
+    }
+
+    /** Free cells from e (mod C) to the nearest occupied cell at or
+        after it; C when the circle is empty. */
+    long
+    rightGap(long e) const
+    {
+        if (empty_)
+            return cells_;
+        if (e >= cells_)
+            e -= cells_;
+        long p = firstSetAtOrAfter(e);
+        if (p < 0)
+            p = firstSetAtOrAfter(0) + cells_;
+        return p - e;
+    }
+
+  private:
+    /** Mask of bits [lo, hi] of one word, 0 <= lo <= hi < 64;
+        branch-free, unlike lowBitsMask, for the fit test's hot loop. */
+    static std::uint64_t
+    bitsMask(long lo, long hi)
+    {
+        return (~std::uint64_t(0) << lo) & (~std::uint64_t(0) >> (63 - hi));
+    }
+
+    /** True if linear [a, b) holds no set cell; 0 <= a < b <= C. */
+    bool
+    rangeFree(long a, long b) const
+    {
+        const std::size_t wa = std::size_t(a >> 6);
+        const std::size_t wb = std::size_t((b - 1) >> 6);
+        if (wa == wb)
+            return !(words_[wa] & bitsMask(a & 63, (b - 1) & 63));
+        if (words_[wa] & bitsMask(a & 63, 63))
+            return false;
+        for (std::size_t w = wa + 1; w < wb; ++w) {
+            if (words_[w])
+                return false;
+        }
+        return !(words_[wb] & bitsMask(0, (b - 1) & 63));
+    }
+
+    /** Set linear [a, b); 0 <= a < b <= C. */
+    void
+    setRange(long a, long b)
+    {
+        const std::size_t wa = std::size_t(a >> 6);
+        const std::size_t wb = std::size_t((b - 1) >> 6);
+        if (wa == wb) {
+            words_[wa] |= bitsMask(a & 63, (b - 1) & 63);
+            return;
+        }
+        words_[wa] |= bitsMask(a & 63, 63);
+        for (std::size_t w = wa + 1; w < wb; ++w)
+            words_[w] = ~std::uint64_t(0);
+        words_[wb] |= bitsMask(0, (b - 1) & 63);
+    }
+
+    /** Highest set cell <= pos, or -1. */
+    long
+    lastSetAtOrBefore(long pos) const
+    {
+        std::size_t w = std::size_t(pos >> 6);
+        std::uint64_t bits = words_[w] & bitsMask(0, pos & 63);
+        while (!bits) {
+            if (w == 0)
+                return -1;
+            bits = words_[--w];
+        }
+        return long(w) * 64 + 63 - countLeadingZeros(bits);
+    }
+
+    /** Lowest set cell >= pos, or -1; pos < C. */
+    long
+    firstSetAtOrAfter(long pos) const
+    {
+        std::size_t w = std::size_t(pos >> 6);
+        std::uint64_t bits = words_[w] & bitsMask(pos & 63, 63);
+        while (!bits) {
+            if (++w == words_.size())
+                return -1;
+            bits = words_[w];
+        }
+        return long(w) * 64 + countTrailingZeros(bits);
+    }
+
+    long cells_ = 0;
+    bool empty_ = true;
+    std::vector<std::uint64_t> words_;
+};
+
+/** The live, non-empty lifetimes in the order they are packed. */
+std::vector<const Lifetime *>
+packOrder(const LifetimeInfo &lifetimes, AllocOrder order)
 {
-    RotAllocResult result;
-    result.offset.assign(lifetimes.lifetimes.size(), -1);
-    result.registers = num_regs;
-
-    const long ii = lifetimes.ii;
-    const long circ = long(num_regs) * ii;
-
     std::vector<const Lifetime *> values;
     for (const Lifetime &lt : lifetimes.lifetimes) {
         if (lt.live && lt.length() > 0)
@@ -104,25 +208,33 @@ allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
                          });
         break;
     }
+    return values;
+}
 
-    std::vector<Arc> occupied;
+/**
+ * Pack `values` (in order) into `num_regs` rotating registers, writing
+ * offset[producer] as each value is placed. Returns false at the first
+ * value that fits nowhere; the offsets placed so far are kept.
+ */
+bool
+pack(const std::vector<const Lifetime *> &values, long ii, int num_regs,
+     FitStrategy strategy, Circle &circle, std::vector<int> &offset)
+{
+    const long circ = long(num_regs) * ii;
+    circle.reset(circ);
     for (const Lifetime *lt : values) {
         const long len = lt->length();
         if (len > circ)
-            return result;  // A single value exceeds the whole file.
+            return false;  // A single value exceeds the whole file.
 
+        // Offset o anchors the arc at q = (start - o*II) mod C.
+        long q = lt->start % circ;
         long bestQ = -1;
         long bestKey = -1;
-        for (int o = 0; o < num_regs; ++o) {
-            const long q = fmod2(lt->start - long(o) * ii, circ);
-            bool fits = true;
-            for (const Arc &a : occupied) {
-                if (arcsOverlap(q, len, a.start, a.len, circ)) {
-                    fits = false;
-                    break;
-                }
-            }
-            if (!fits)
+        for (int o = 0; o < num_regs; ++o, q -= ii) {
+            if (q < 0)
+                q += circ;
+            if (!circle.isFree(q, len))
                 continue;
 
             long key = 0;
@@ -131,29 +243,74 @@ allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
                 key = 0;  // First feasible offset wins.
                 break;
               case FitStrategy::EndFit:
-                key = leftGap(occupied, q, circ);
+                key = circle.leftGap(q);
                 break;
               case FitStrategy::BestFit:
-                key = leftGap(occupied, q, circ) +
-                      rightGap(occupied, q, len, circ);
+                key = circle.leftGap(q) + circle.rightGap(q + len);
                 break;
             }
             if (bestQ < 0 || key < bestKey) {
                 bestQ = q;
                 bestKey = key;
-                result.offset[std::size_t(lt->producer)] = o;
+                offset[std::size_t(lt->producer)] = o;
             }
-            if (strategy == FitStrategy::FirstFit)
+            // A zero gap cannot be improved on, and on an empty circle
+            // every offset fits with the same key.
+            if (key == 0 || circle.empty())
                 break;
-            if (key == 0)
-                break;  // Cannot improve on a zero gap.
         }
         if (bestQ < 0)
-            return result;  // No feasible position: allocation fails.
-        occupied.push_back({bestQ, len});
+            return false;  // No feasible position: allocation fails.
+        circle.occupy(bestQ, len);
     }
+    return true;
+}
 
-    result.ok = true;
+/**
+ * minRotatingRegs, also returning the offsets of the pack that fit
+ * (all -1 when nothing is live; unspecified when none up to cap fits).
+ */
+int
+scanRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
+         AllocOrder order, int cap, std::vector<int> &offset)
+{
+    const std::vector<const Lifetime *> values =
+        packOrder(lifetimes, order);
+    offset.assign(lifetimes.lifetimes.size(), -1);
+    if (values.empty())
+        return 0;
+
+    Circle circle;
+    for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
+        if (pack(values, lifetimes.ii, r, strategy, circle, offset))
+            return r;
+    }
+    return cap + 1;
+}
+
+} // namespace
+
+const char *
+fitStrategyName(FitStrategy s)
+{
+    switch (s) {
+      case FitStrategy::EndFit: return "end-fit";
+      case FitStrategy::FirstFit: return "first-fit";
+      case FitStrategy::BestFit: return "best-fit";
+    }
+    SWP_PANIC("unknown fit strategy ", int(s));
+}
+
+RotAllocResult
+allocateRotating(const LifetimeInfo &lifetimes, int num_regs,
+                 FitStrategy strategy, AllocOrder order)
+{
+    RotAllocResult result;
+    result.offset.assign(lifetimes.lifetimes.size(), -1);
+    result.registers = num_regs;
+    Circle circle;
+    result.ok = pack(packOrder(lifetimes, order), lifetimes.ii, num_regs,
+                     strategy, circle, result.offset);
     return result;
 }
 
@@ -161,21 +318,8 @@ int
 minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
                 AllocOrder order, int cap)
 {
-    bool anyLive = false;
-    for (const Lifetime &lt : lifetimes.lifetimes) {
-        if (lt.live && lt.length() > 0) {
-            anyLive = true;
-            break;
-        }
-    }
-    if (!anyLive)
-        return 0;
-
-    for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
-        if (allocateRotating(lifetimes, r, strategy, order).ok)
-            return r;
-    }
-    return cap + 1;
+    std::vector<int> offset;
+    return scanRegs(lifetimes, strategy, order, cap, offset);
 }
 
 AllocationOutcome
@@ -200,21 +344,27 @@ allocateLoop(const Ddg &g, const Schedule &sched, int budget,
         budget > maxScalableBudget
             ? std::max(info.maxLive + 64, 64)
             : std::max({budget * 4, info.maxLive + 64, 64});
-    AllocOrder order = AllocOrder::Adjacency;
-    outcome.rotating = minRotatingRegs(info, strategy, order, cap);
-    const int byLength = minRotatingRegs(
-        info, strategy, AllocOrder::DescendingLength, cap);
-    if (byLength < outcome.rotating) {
-        outcome.rotating = byLength;
-        order = AllocOrder::DescendingLength;
+    // Descending length only replaces adjacency when it needs strictly
+    // fewer registers, so its scan stops below adjacency's count.
+    std::vector<int> byAdjacency;
+    std::vector<int> byLength;
+    outcome.rotating = scanRegs(info, strategy, AllocOrder::Adjacency, cap,
+                                byAdjacency);
+    const int lengthRegs =
+        scanRegs(info, strategy, AllocOrder::DescendingLength,
+                 std::min(cap, outcome.rotating - 1), byLength);
+    std::vector<int> *offsets = &byAdjacency;
+    if (lengthRegs < outcome.rotating) {
+        outcome.rotating = lengthRegs;
+        offsets = &byLength;
     }
     if (outcome.rotating <= cap) {
-        outcome.rotAlloc =
-            allocateRotating(info, outcome.rotating, strategy, order);
+        outcome.rotAlloc.ok = true;
+        outcome.rotAlloc.registers = outcome.rotating;
+        outcome.rotAlloc.offset = std::move(*offsets);
     }
     outcome.regsRequired = outcome.rotating + outcome.invariants;
     outcome.fits = outcome.regsRequired <= budget;
-    (void)g;
     return outcome;
 }
 
@@ -222,6 +372,15 @@ bool
 allocationConflictFree(const LifetimeInfo &lifetimes,
                        const RotAllocResult &alloc, std::string *why)
 {
+    if (alloc.offset.size() != lifetimes.lifetimes.size()) {
+        if (why) {
+            *why = strprintf("%zu offsets for %zu lifetimes",
+                             alloc.offset.size(),
+                             lifetimes.lifetimes.size());
+        }
+        return false;
+    }
+
     const long ii = lifetimes.ii;
     const long circ = long(alloc.registers) * ii;
 
@@ -229,6 +388,15 @@ allocationConflictFree(const LifetimeInfo &lifetimes,
     for (const Lifetime &lt : lifetimes.lifetimes) {
         if (lt.live && lt.length() > 0)
             values.push_back(&lt);
+    }
+    if (!values.empty() && circ <= 0) {
+        if (why) {
+            *why = strprintf("%zu live values on a %d-register, II %d "
+                             "file",
+                             values.size(), alloc.registers,
+                             lifetimes.ii);
+        }
+        return false;
     }
 
     for (std::size_t i = 0; i < values.size(); ++i) {

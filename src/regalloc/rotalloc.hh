@@ -98,7 +98,9 @@ AllocationOutcome allocateLoop(const Ddg &g, const Schedule &sched,
 
 /**
  * Verify an allocation: no two lifetimes' arcs overlap (the conflict
- * lemma above). Exposed for tests and the pipeline simulator.
+ * lemma above). An offset table that does not cover every lifetime, or
+ * live values with no registers (the unallocated default result), is
+ * rejected too. Exposed for tests and the pipeline simulator.
  */
 bool allocationConflictFree(const LifetimeInfo &lifetimes,
                             const RotAllocResult &alloc,

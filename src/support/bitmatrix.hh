@@ -39,6 +39,22 @@ countTrailingZeros(std::uint64_t word)
 #endif
 }
 
+/** Number of zero bits above the highest set bit; undefined for 0. */
+inline int
+countLeadingZeros(std::uint64_t word)
+{
+#if defined(__GNUC__) || defined(__clang__)
+    return __builtin_clzll(word);
+#else
+    int n = 0;
+    while (!(word >> 63)) {
+        word <<= 1;
+        ++n;
+    }
+    return n;
+#endif
+}
+
 /** Mask with the low `n` bits set (n in [0, 64]). */
 inline std::uint64_t
 lowBitsMask(int n)

@@ -1,16 +1,27 @@
 /**
  * @file
  * Rotating register allocation tests: the circular-packing conflict
- * model, fit strategies, minimum-register search and the MaxLive bound.
+ * model, fit strategies, minimum-register search and the MaxLive bound,
+ * the conflict oracle's rejection of malformed results, and a
+ * differential test of the bitmap allocator against the arc-list
+ * reference in rotalloc_reference.cc.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+
 #include "ir/builder.hh"
 #include "machine/machine.hh"
+#include "pipeliner/pipeliner.hh"
 #include "regalloc/rotalloc.hh"
+#include "rotalloc_reference.hh"
 #include "sched/hrms.hh"
 #include "sched/mii.hh"
+#include "support/rng.hh"
+#include "support/strutil.hh"
+#include "workload/suitegen.hh"
 
 namespace swp
 {
@@ -147,6 +158,195 @@ TEST(RotAlloc, EndFitTracksMaxLiveOnScheduledLoops)
         const LifetimeInfo info = analyzeLifetimes(g, *s);
         const int regs = minRotatingRegs(info);
         EXPECT_LE(regs, info.maxLive + 1) << "ii=" << ii;
+    }
+}
+
+TEST(RotAlloc, ConflictCheckRejectsUnallocatedResult)
+{
+    // allocateLoop leaves a default RotAllocResult (no offsets, zero
+    // registers) when no register count up to its cap fits.
+    const Ddg g = buildPaperExampleLoop();
+    const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(2));
+    std::string why;
+    EXPECT_FALSE(allocationConflictFree(info, RotAllocResult{}, &why));
+    EXPECT_NE(why.find("offsets"), std::string::npos) << why;
+}
+
+TEST(RotAlloc, ConflictCheckRejectsZeroRegistersForLiveValues)
+{
+    const Ddg g = buildPaperExampleLoop();
+    const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(2));
+    RotAllocResult alloc = allocateRotating(info, minRotatingRegs(info));
+    ASSERT_TRUE(alloc.ok);
+    std::string why;
+    ASSERT_TRUE(allocationConflictFree(info, alloc, &why)) << why;
+
+    alloc.registers = 0;
+    EXPECT_FALSE(allocationConflictFree(info, alloc, &why));
+    EXPECT_NE(why.find("live values"), std::string::npos) << why;
+}
+
+// ---- Differential: bitmap allocator vs the arc-list reference -------
+
+constexpr FitStrategy kFits[] = {FitStrategy::EndFit,
+                                 FitStrategy::FirstFit,
+                                 FitStrategy::BestFit};
+constexpr AllocOrder kOrders[] = {AllocOrder::Adjacency,
+                                  AllocOrder::DescendingLength};
+
+const char *
+orderName(AllocOrder order)
+{
+    return order == AllocOrder::Adjacency ? "adjacency" : "by-length";
+}
+
+/** True if both allocators give the same result (ok, registers and
+    every offset, failed packs included) at `regs` registers. */
+bool
+sameAllocation(const LifetimeInfo &info, int regs, FitStrategy fit,
+               AllocOrder order, std::string *why)
+{
+    const RotAllocResult want =
+        rotalloc_ref::allocateRotating(info, regs, fit, order);
+    const RotAllocResult got = allocateRotating(info, regs, fit, order);
+    if (got.ok == want.ok && got.registers == want.registers &&
+        got.offset == want.offset) {
+        return true;
+    }
+    std::size_t v = 0;
+    while (v < got.offset.size() && v < want.offset.size() &&
+           got.offset[v] == want.offset[v]) {
+        ++v;
+    }
+    *why = strprintf("%s/%s at R=%d: ok %d (reference %d), first "
+                     "offset mismatch at value %zu of %zu",
+                     fitStrategyName(fit), orderName(order), regs,
+                     int(got.ok), int(want.ok), v, want.offset.size());
+    return false;
+}
+
+/**
+ * Random lifetime population: II 1..12 (1 in a quarter of the sets),
+ * up to 16 values with negative and positive starts, some dead and
+ * some zero-length. One set in eight gets a value longer than the whole
+ * circle at `cap` registers, and one in four an understated MaxLive, so
+ * the register scans run up to the cap and fail there.
+ */
+LifetimeInfo
+randomLifetimes(Rng &rng, int cap)
+{
+    LifetimeInfo info;
+    info.ii = rng.chance(0.25) ? 1 : rng.range(2, 12);
+    const int ii = info.ii;
+    const int numValues = rng.range(0, 16);
+    for (int i = 0; i < numValues; ++i) {
+        Lifetime lt;
+        lt.producer = NodeId(i);
+        const int kind = rng.range(0, 9);
+        lt.live = kind != 0;
+        lt.start = rng.range(-2 * ii, 4 * ii);
+        lt.end = lt.start + (kind == 1 ? 0 : rng.range(1, 4 * ii));
+        info.lifetimes.push_back(lt);
+    }
+    if (numValues > 0 && rng.chance(0.125)) {
+        Lifetime &lt = info.lifetimes[std::size_t(rng.range(0,
+                                                            numValues - 1))];
+        lt.live = true;
+        lt.end = lt.start + cap * ii + rng.range(1, ii);
+    }
+
+    info.pressure.assign(std::size_t(ii), 0);
+    for (const Lifetime &lt : info.lifetimes) {
+        if (!lt.live)
+            continue;
+        for (int c = lt.start; c < lt.end; ++c)
+            ++info.pressure[std::size_t(Schedule::floorMod(c, ii))];
+    }
+    info.maxLive = *std::max_element(info.pressure.begin(),
+                                     info.pressure.end());
+    if (rng.chance(0.25))
+        info.maxLive = rng.range(0, info.maxLive);
+    return info;
+}
+
+TEST(RotAllocDifferential, RandomLifetimesMatchArcListReference)
+{
+    constexpr int kSets = 10000;
+    constexpr int kCap = 64;
+    Rng rng(0x5eed0a11c);
+    for (int set = 0; set < kSets; ++set) {
+        const LifetimeInfo info = randomLifetimes(rng, kCap);
+        std::string why;
+        for (const FitStrategy fit : kFits) {
+            for (const AllocOrder order : kOrders) {
+                const int want =
+                    rotalloc_ref::minRotatingRegs(info, fit, order, kCap);
+                ASSERT_EQ(minRotatingRegs(info, fit, order, kCap), want)
+                    << "set " << set << " " << fitStrategyName(fit) << "/"
+                    << orderName(order);
+                // Zero and one register, the counts just below MaxLive
+                // (failed packs) and every count up to the minimum.
+                std::vector<int> counts = {0, 1};
+                for (int r = std::max(2, info.maxLive - 2);
+                     r <= std::min(want, kCap); ++r) {
+                    counts.push_back(r);
+                }
+                for (const int r : counts) {
+                    ASSERT_TRUE(sameAllocation(info, r, fit, order, &why))
+                        << "set " << set << ": " << why;
+                }
+            }
+        }
+    }
+}
+
+TEST(RotAllocDifferential, PinnedSuiteIdealSchedulesMatchArcListReference)
+{
+    const Machine m = Machine::p2l4();
+    const SuiteParams params;
+    constexpr int kBudget = 32;
+    for (int i = 0; i < params.numLoops; ++i) {
+        const SuiteLoop loop = generateSuiteLoop(params, i);
+        const PipelineResult ideal = pipelineIdeal(loop.graph, m);
+        const LifetimeInfo info =
+            analyzeLifetimes(ideal.graph(), ideal.sched);
+        // allocateLoop's register cap for this budget.
+        const int cap = std::max({kBudget * 4, info.maxLive + 64, 64});
+        std::string why;
+        for (const FitStrategy fit : kFits) {
+            int bestRegs = INT_MAX;
+            AllocOrder bestOrder = AllocOrder::Adjacency;
+            for (const AllocOrder order : kOrders) {
+                const int want =
+                    rotalloc_ref::minRotatingRegs(info, fit, order, cap);
+                ASSERT_EQ(minRotatingRegs(info, fit, order, cap), want)
+                    << loop.graph.name() << " " << fitStrategyName(fit)
+                    << "/" << orderName(order);
+                for (int r = std::max(1, info.maxLive);
+                     r <= std::min(want, cap); ++r) {
+                    ASSERT_TRUE(sameAllocation(info, r, fit, order, &why))
+                        << loop.graph.name() << ": " << why;
+                }
+                if (want < bestRegs) {
+                    bestRegs = want;
+                    bestOrder = order;
+                }
+            }
+
+            // allocateLoop keeps the offsets of the winning order's pack.
+            const AllocationOutcome out =
+                allocateLoop(ideal.graph(), ideal.sched, kBudget, fit);
+            ASSERT_EQ(out.rotating, bestRegs)
+                << loop.graph.name() << " " << fitStrategyName(fit);
+            ASSERT_LE(bestRegs, cap) << loop.graph.name();
+            const RotAllocResult want = rotalloc_ref::allocateRotating(
+                info, bestRegs, fit, bestOrder);
+            EXPECT_EQ(out.rotAlloc.ok, want.ok) << loop.graph.name();
+            EXPECT_EQ(out.rotAlloc.registers, want.registers)
+                << loop.graph.name();
+            ASSERT_EQ(out.rotAlloc.offset, want.offset)
+                << loop.graph.name() << " " << fitStrategyName(fit);
+        }
     }
 }
 
