@@ -2,8 +2,8 @@
  * @file
  * Statistical micro-benchmarks of the library's hot components,
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
- * at MII, rotating register allocation, one full constrained-pipeline
- * run, and the cycle-accurate simulator. These time individual layers
+ * at MII, rotating register allocation, full constrained-pipeline runs
+ * (iterative spill and increase-II), and the cycle-accurate simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
  * figure-level harnesses that report one-shot experiment output.
  */
@@ -146,6 +146,22 @@ BM_ConstrainedPipeline(benchmark::State &state)
     }
 }
 BENCHMARK(BM_ConstrainedPipeline)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
+
+void
+BM_IncreaseIiPipeline(benchmark::State &state)
+{
+    // The increase-II strategy: one schedule and one budget-bounded
+    // allocation per II probe, plus the acyclic schedule that caps II.
+    const SuiteLoop &loop = loopOfSize(int(state.range(0)));
+    const Machine m = benchutil::benchMachine();
+    PipelinerOptions opts;
+    opts.registers = 32;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            pipelineLoop(loop.graph, m, Strategy::IncreaseII, opts));
+    }
+}
+BENCHMARK(BM_IncreaseIiPipeline)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
 
 void
 BM_SuiteRunnerBatch(benchmark::State &state)

@@ -1,9 +1,9 @@
 #include "pipeliner/spill_pipeline.hh"
 
 #include <algorithm>
-#include <memory>
 #include <optional>
 #include <utility>
+#include <vector>
 
 #include "sched/acyclic.hh"
 #include "sched/ii_search.hh"
@@ -13,6 +13,80 @@
 
 namespace swp
 {
+
+namespace
+{
+
+/** Rewrite `work` with one round's spill code. */
+void
+applySpills(Ddg &work, const Machine &m,
+            const std::vector<SpillCandidate> &picks, bool fuseSpillOps)
+{
+    for (const SpillCandidate &pick : picks)
+        insertSpill(work, m, pick);
+    if (!fuseSpillOps) {
+        // Ablation: drop the complex-operation constraint; spill code is
+        // scheduled like any other operation.
+        for (EdgeId e = 0; e < work.numEdges(); ++e) {
+            if (work.edge(e).alive)
+                work.edge(e).nonSpillable = false;
+        }
+    }
+}
+
+/**
+ * What an over-budget round leaves behind: enough to rebuild its graph
+ * (by replaying the picks of the rounds before it on the input graph)
+ * and its exact allocation, without a graph copy or an allocation the
+ * run usually never needs.
+ */
+struct OverBudgetRound
+{
+    Schedule sched;
+    int mii = 0;
+    int spilled = 0;                    ///< Lifetimes spilled before it.
+    std::vector<SpillCandidate> picks;  ///< Spilled after it.
+};
+
+/**
+ * Keep the best over-budget round (the first with the lowest register
+ * requirement) as the result. Runs only when the iteration ends over
+ * budget and the acyclic fallback does not fit either.
+ */
+void
+keepBestRound(PipelineResult &result, const Ddg &g, const Machine &m,
+              const PipelinerOptions &opts,
+              std::vector<OverBudgetRound> &rounds)
+{
+    std::size_t best = 0;
+    AllocationOutcome bestAlloc;
+    Ddg replay = g;
+    for (std::size_t i = 0; i < rounds.size(); ++i) {
+        AllocationOutcome alloc =
+            allocateLoop(replay, rounds[i].sched, opts.registers, opts.fit);
+        if (i == 0 || alloc.regsRequired < bestAlloc.regsRequired) {
+            best = i;
+            bestAlloc = std::move(alloc);
+        }
+        if (i + 1 < rounds.size())
+            applySpills(replay, m, rounds[i].picks, opts.fuseSpillOps);
+    }
+
+    if (rounds[best].spilled == 0) {
+        result.bindInputGraph(g);
+    } else {
+        Ddg graph = g;
+        for (std::size_t i = 0; i < best; ++i)
+            applySpills(graph, m, rounds[i].picks, opts.fuseSpillOps);
+        result.adoptGraph(std::move(graph));
+    }
+    result.sched = std::move(rounds[best].sched);
+    result.alloc = std::move(bestAlloc);
+    result.mii = rounds[best].mii;
+    result.spilledLifetimes = rounds[best].spilled;
+}
+
+} // namespace
 
 PipelineResult
 spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
@@ -28,20 +102,9 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     Ddg work = g;
     int prevIi = 0;
 
-    // Best over-budget schedule seen so far (lowest register
-    // requirement). Kept so that exhausting the rounds or the
-    // candidates does not discard valid scheduling work. A null graph
-    // snapshot means the schedule refers to the untransformed input
-    // (round 1, before any spill), avoiding a pointless Ddg copy.
-    struct BestSoFar
-    {
-        std::shared_ptr<const Ddg> graph;
-        Schedule sched;
-        AllocationOutcome alloc;
-        int mii = 0;
-        int spilled = 0;
-    };
-    std::optional<BestSoFar> best;
+    // Over-budget rounds, kept so that exhausting the rounds or the
+    // candidates does not discard valid scheduling work.
+    std::vector<OverBudgetRound> overBudget;
 
     for (int round = 1; round <= opts.maxSpillRounds; ++round) {
         const int curMii =
@@ -69,43 +132,44 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
 
         Schedule sched = std::move(*search.sched);
         prevIi = sched.ii();
-        AllocationOutcome alloc =
-            allocateLoop(work, sched, opts.registers, opts.fit);
+        const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
 
+        // Only a fitting allocation is kept, so the register scan stops
+        // at the budget, except when the observer reports every
+        // round's exact count.
+        std::optional<AllocationOutcome> alloc;
         if (observer) {
+            alloc = allocateLoop(lifetimes, opts.registers, opts.fit);
             SpillRoundInfo info;
             info.round = round;
             info.ii = sched.ii();
             info.mii = curMii;
-            info.regsRequired = alloc.regsRequired;
+            info.regsRequired = alloc->regsRequired;
             info.memOps = work.numMemOps();
             info.spilledSoFar = result.spilledLifetimes;
             observer(info);
+            if (!alloc->fits)
+                alloc.reset();
+        } else {
+            alloc =
+                allocateWithinBudget(lifetimes, opts.registers, opts.fit);
         }
 
-        if (alloc.fits) {
+        if (alloc) {
             result.success = true;
             if (result.spilledLifetimes == 0)
                 result.bindInputGraph(g);  // `work` is still the input.
             else
                 result.adoptGraph(std::move(work));
             result.sched = std::move(sched);
-            result.alloc = std::move(alloc);
+            result.alloc = std::move(*alloc);
             result.mii = curMii;
             return result;
         }
 
-        if (!best || alloc.regsRequired < best->alloc.regsRequired) {
-            best.emplace();
-            if (result.spilledLifetimes > 0)
-                best->graph = std::make_shared<const Ddg>(work);
-            best->sched = sched;
-            best->alloc = alloc;
-            best->mii = curMii;
-            best->spilled = result.spilledLifetimes;
-        }
+        overBudget.push_back(
+            {std::move(sched), curMii, result.spilledLifetimes, {}});
 
-        const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
         const auto candidates =
             spillCandidates(work, lifetimes, opts.spillUses);
         if (candidates.empty()) {
@@ -114,7 +178,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
             break;
         }
 
-        std::vector<SpillCandidate> picks;
+        std::vector<SpillCandidate> &picks = overBudget.back().picks;
         if (opts.multiSelect) {
             picks = selectMultiple(candidates, opts.heuristic, lifetimes,
                                    opts.registers);
@@ -122,18 +186,8 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
             picks.push_back(*one);
         }
         SWP_ASSERT(!picks.empty(), "spill selection returned nothing");
-        for (const SpillCandidate &pick : picks) {
-            insertSpill(work, m, pick);
-            ++result.spilledLifetimes;
-        }
-        if (!opts.fuseSpillOps) {
-            // Ablation: drop the complex-operation constraint; spill
-            // code is scheduled like any other operation.
-            for (EdgeId e = 0; e < work.numEdges(); ++e) {
-                if (work.edge(e).alive)
-                    work.edge(e).nonSpillable = false;
-            }
-        }
+        applySpills(work, m, picks, opts.fuseSpillOps);
+        result.spilledLifetimes += int(picks.size());
     }
 
     // The iteration ended over budget. Local scheduling of the original
@@ -143,15 +197,8 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     Schedule acyclicSched = scheduleAcyclic(g, m);
     AllocationOutcome acyclicAlloc =
         allocateLoop(g, acyclicSched, opts.registers, opts.fit);
-    if (best && !acyclicAlloc.fits) {
-        if (best->graph)
-            result.adoptGraph(std::move(best->graph));
-        else
-            result.bindInputGraph(g);
-        result.sched = std::move(best->sched);
-        result.alloc = std::move(best->alloc);
-        result.mii = best->mii;
-        result.spilledLifetimes = best->spilled;
+    if (!overBudget.empty() && !acyclicAlloc.fits) {
+        keepBestRound(result, g, m, opts, overBudget);
         return result;
     }
     result.usedFallback = true;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 
 #include "support/bitmatrix.hh"
@@ -267,25 +268,88 @@ pack(const std::vector<const Lifetime *> &values, long ii, int num_regs,
 }
 
 /**
- * minRotatingRegs, also returning the offsets of the pack that fit
- * (all -1 when nothing is live; unspecified when none up to cap fits).
+ * The R scan shared by minRotatingRegs, allocateLoop and
+ * allocateWithinBudget: for R from max(1, MaxLive) up to `limit`, pack
+ * each of `orders` in turn, and the first (R, order) that packs wins.
+ * An earlier order therefore wins ties, and a later one wins only at a
+ * strictly smaller R. Each order is sorted once, on first use, and all
+ * packs share one circle and `offset`, which ends holding the winning
+ * pack's offsets (all -1 when nothing is live; unspecified when no pack
+ * up to `limit` succeeds). Returns the winning R, or limit+1.
  */
 int
 scanRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
-         AllocOrder order, int cap, std::vector<int> &offset)
+         std::initializer_list<AllocOrder> orders, int limit,
+         std::vector<int> &offset)
 {
-    const std::vector<const Lifetime *> values =
-        packOrder(lifetimes, order);
     offset.assign(lifetimes.lifetimes.size(), -1);
-    if (values.empty())
+    std::vector<std::vector<const Lifetime *>> values(orders.size());
+    values[0] = packOrder(lifetimes, *orders.begin());
+    if (values[0].empty())
         return 0;
 
     Circle circle;
-    for (int r = std::max(1, lifetimes.maxLive); r <= cap; ++r) {
-        if (pack(values, lifetimes.ii, r, strategy, circle, offset))
-            return r;
+    for (int r = std::max(1, lifetimes.maxLive); r <= limit; ++r) {
+        std::size_t k = 0;
+        for (const AllocOrder order : orders) {
+            if (values[k].empty())
+                values[k] = packOrder(lifetimes, order);
+            if (pack(values[k], lifetimes.ii, r, strategy, circle, offset))
+                return r;
+            ++k;
+        }
     }
-    return cap + 1;
+    return limit + 1;
+}
+
+/**
+ * The register scan's upper bound for a budget. budget * 4 would
+ * overflow for the effectively unlimited budget of ideal runs
+ * (INT_MAX / 2); such budgets never bind the search — maxLive + 64
+ * keeps it viable — so the term applies only when representable.
+ */
+int
+regsCap(int budget, int maxLive)
+{
+    const int maxScalableBudget = std::numeric_limits<int>::max() / 4;
+    return budget > maxScalableBudget
+               ? std::max(maxLive + 64, 64)
+               : std::max({budget * 4, maxLive + 64, 64});
+}
+
+/**
+ * Allocate the loop variants with both orderings, scanning R no
+ * further than `limit` (<= the cap). Both orderings are cheap next to
+ * scheduling; whichever packs tighter wins (adjacency is Rau's
+ * reference ordering, descending length often wins on fan-out-heavy
+ * lifetimes). A scan that fails up to `limit` reports the cap's
+ * overflow count cap+1, as the exact scan does.
+ */
+AllocationOutcome
+allocateUpTo(const LifetimeInfo &info, int budget, FitStrategy strategy,
+             int limit)
+{
+    AllocationOutcome outcome;
+    outcome.maxLive = info.maxLive;
+    outcome.invariants = info.invariantCount;
+
+    const int cap = regsCap(budget, info.maxLive);
+    limit = std::min(limit, cap);
+    std::vector<int> offset;
+    outcome.rotating =
+        scanRegs(info, strategy,
+                 {AllocOrder::Adjacency, AllocOrder::DescendingLength},
+                 limit, offset);
+    if (outcome.rotating <= limit) {
+        outcome.rotAlloc.ok = true;
+        outcome.rotAlloc.registers = outcome.rotating;
+        outcome.rotAlloc.offset = std::move(offset);
+    } else {
+        outcome.rotating = cap + 1;
+    }
+    outcome.regsRequired = outcome.rotating + outcome.invariants;
+    outcome.fits = outcome.regsRequired <= budget;
+    return outcome;
 }
 
 } // namespace
@@ -319,52 +383,33 @@ minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
                 AllocOrder order, int cap)
 {
     std::vector<int> offset;
-    return scanRegs(lifetimes, strategy, order, cap, offset);
+    return scanRegs(lifetimes, strategy, {order}, cap, offset);
 }
 
 AllocationOutcome
 allocateLoop(const Ddg &g, const Schedule &sched, int budget,
              FitStrategy strategy)
 {
-    const LifetimeInfo info = analyzeLifetimes(g, sched);
+    return allocateLoop(analyzeLifetimes(g, sched), budget, strategy);
+}
 
-    AllocationOutcome outcome;
-    outcome.maxLive = info.maxLive;
-    outcome.invariants = info.invariantCount;
+AllocationOutcome
+allocateLoop(const LifetimeInfo &info, int budget, FitStrategy strategy)
+{
+    return allocateUpTo(info, budget, strategy,
+                        std::numeric_limits<int>::max());
+}
 
-    // Both orderings are cheap next to scheduling; take whichever packs
-    // tighter (adjacency is Rau's reference ordering, descending length
-    // often wins on fan-out-heavy lifetimes).
-    // budget * 4 would overflow for the effectively unlimited budget of
-    // ideal runs (INT_MAX / 2); such budgets never bind the search —
-    // maxLive + 64 keeps it viable — so the term applies only when
-    // representable.
-    const int maxScalableBudget = std::numeric_limits<int>::max() / 4;
-    const int cap =
-        budget > maxScalableBudget
-            ? std::max(info.maxLive + 64, 64)
-            : std::max({budget * 4, info.maxLive + 64, 64});
-    // Descending length only replaces adjacency when it needs strictly
-    // fewer registers, so its scan stops below adjacency's count.
-    std::vector<int> byAdjacency;
-    std::vector<int> byLength;
-    outcome.rotating = scanRegs(info, strategy, AllocOrder::Adjacency, cap,
-                                byAdjacency);
-    const int lengthRegs =
-        scanRegs(info, strategy, AllocOrder::DescendingLength,
-                 std::min(cap, outcome.rotating - 1), byLength);
-    std::vector<int> *offsets = &byAdjacency;
-    if (lengthRegs < outcome.rotating) {
-        outcome.rotating = lengthRegs;
-        offsets = &byLength;
-    }
-    if (outcome.rotating <= cap) {
-        outcome.rotAlloc.ok = true;
-        outcome.rotAlloc.registers = outcome.rotating;
-        outcome.rotAlloc.offset = std::move(*offsets);
-    }
-    outcome.regsRequired = outcome.rotating + outcome.invariants;
-    outcome.fits = outcome.regsRequired <= budget;
+std::optional<AllocationOutcome>
+allocateWithinBudget(const LifetimeInfo &info, int budget,
+                     FitStrategy strategy)
+{
+    // A rotating count above budget - invariants cannot fit, so the
+    // scan stops there; with no room at all it packs nothing.
+    AllocationOutcome outcome =
+        allocateUpTo(info, budget, strategy, budget - info.invariantCount);
+    if (!outcome.fits)
+        return std::nullopt;
     return outcome;
 }
 

@@ -22,6 +22,7 @@
 #ifndef SWP_REGALLOC_ROTALLOC_HH
 #define SWP_REGALLOC_ROTALLOC_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,10 +92,34 @@ struct AllocationOutcome
  * Allocate a scheduled loop against a register budget: rotating
  * registers for the loop variants (actual requirement, not MaxLive)
  * plus one static register per live invariant.
+ *
+ * This is the exact entry point: it always finds the smallest register
+ * count, however far above the budget. Use it where that count is
+ * reported (the Figure 4 register sweep, the Figure 7 per-round
+ * observer, ideal schedules, acyclic fallbacks) or kept as the result
+ * of an over-budget run. A caller that discards every outcome that does
+ * not fit should call allocateWithinBudget instead.
  */
 AllocationOutcome allocateLoop(const Ddg &g, const Schedule &sched,
                                int budget,
                                FitStrategy strategy = FitStrategy::EndFit);
+
+/** allocateLoop on already-analyzed lifetimes. */
+AllocationOutcome allocateLoop(const LifetimeInfo &info, int budget,
+                               FitStrategy strategy = FitStrategy::EndFit);
+
+/**
+ * The budget-bounded entry point: allocateLoop's outcome when it fits
+ * the budget (the same outcome, every offset included), nullopt
+ * otherwise. The register scan stops at budget - invariants, so an
+ * over-budget schedule costs at most the packs below the budget, and
+ * none when MaxLive + invariants already exceeds it. Use it for the
+ * probes of a search that keeps only fitting allocations (the
+ * increase-II loop, spill rounds, best-of-all's II search).
+ */
+std::optional<AllocationOutcome>
+allocateWithinBudget(const LifetimeInfo &info, int budget,
+                     FitStrategy strategy);
 
 /**
  * Verify an allocation: no two lifetimes' arcs overlap (the conflict

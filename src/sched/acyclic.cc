@@ -46,16 +46,21 @@ class LinearRt
         return -1;
     }
 
+    void reserve(Opcode op, int t, int u) { mark(op, t, u, true); }
+
+    /** Undo reserve(op, t, u). */
+    void release(Opcode op, int t, int u) { mark(op, t, u, false); }
+
+  private:
     void
-    reserve(Opcode op, int t, int u)
+    mark(Opcode op, int t, int u, bool busy)
     {
         const int cls = m_.classOf(op);
         const int occ = m_.occupancy(op);
         for (int c = 0; c < occ; ++c)
-            busy_[std::size_t(cls)][idx(u, t + c)] = true;
+            busy_[std::size_t(cls)][idx(u, t + c)] = busy;
     }
 
-  private:
     std::size_t
     idx(int unit, int t) const
     {
@@ -132,32 +137,29 @@ scheduleAcyclic(const Ddg &g, const Machine &m)
             }
         }
 
-        // First anchor where every member fits (simulated on a scratch
-        // copy because members may compete for the same units).
+        // First anchor where every member fits. Members may compete for
+        // the same units, so each is reserved as it fits; on a failed
+        // anchor the cells reserved so far, all free before, are
+        // released again, which restores the table exactly.
         bool placed = false;
         for (int t0 = earliest; t0 < horizon && !placed; ++t0) {
-            LinearRt scratch(rt);
-            std::vector<int> units(grp.members.size(), -1);
-            bool ok = true;
-            for (std::size_t i = 0; i < grp.members.size() && ok; ++i) {
-                const Opcode op = g.node(grp.members[i]).op;
-                const int u = scratch.findUnit(op, t0 + grp.offsets[i]);
-                if (u < 0) {
-                    ok = false;
-                } else {
-                    scratch.reserve(op, t0 + grp.offsets[i], u);
-                    units[i] = u;
-                }
+            std::size_t fitted = 0;
+            for (; fitted < grp.members.size(); ++fitted) {
+                const NodeId v = grp.members[fitted];
+                const Opcode op = g.node(v).op;
+                const int t = t0 + grp.offsets[fitted];
+                const int u = rt.findUnit(op, t);
+                if (u < 0)
+                    break;
+                rt.reserve(op, t, u);
+                time[std::size_t(v)] = t;
+                unit[std::size_t(v)] = u;
             }
-            if (ok) {
-                for (std::size_t i = 0; i < grp.members.size(); ++i) {
-                    const NodeId v = grp.members[i];
-                    time[std::size_t(v)] = t0 + grp.offsets[i];
-                    unit[std::size_t(v)] = units[i];
-                    rt.reserve(g.node(v).op, time[std::size_t(v)],
-                               units[i]);
-                }
-                placed = true;
+            placed = fitted == grp.members.size();
+            for (std::size_t i = 0; !placed && i < fitted; ++i) {
+                const NodeId v = grp.members[i];
+                rt.release(g.node(v).op, time[std::size_t(v)],
+                           unit[std::size_t(v)]);
             }
         }
         SWP_ASSERT(placed, "acyclic scheduler exceeded its horizon on ",

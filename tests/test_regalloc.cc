@@ -4,13 +4,16 @@
  * model, fit strategies, minimum-register search and the MaxLive bound,
  * the conflict oracle's rejection of malformed results, and a
  * differential test of the bitmap allocator against the arc-list
- * reference in rotalloc_reference.cc.
+ * reference in rotalloc_reference.cc, and the budget-bounded entry
+ * point against the exact one.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <climits>
+#include <optional>
+#include <string>
 
 #include "ir/builder.hh"
 #include "machine/machine.hh"
@@ -225,6 +228,13 @@ sameAllocation(const LifetimeInfo &info, int regs, FitStrategy fit,
     return false;
 }
 
+/** allocateLoop's register cap for a (representable) budget. */
+int
+regsCapFor(int budget, int maxLive)
+{
+    return std::max({budget * 4, maxLive + 64, 64});
+}
+
 /**
  * Random lifetime population: II 1..12 (1 in a quarter of the sets),
  * up to 16 values with negative and positive starts, some dead and
@@ -310,8 +320,7 @@ TEST(RotAllocDifferential, PinnedSuiteIdealSchedulesMatchArcListReference)
         const PipelineResult ideal = pipelineIdeal(loop.graph, m);
         const LifetimeInfo info =
             analyzeLifetimes(ideal.graph(), ideal.sched);
-        // allocateLoop's register cap for this budget.
-        const int cap = std::max({kBudget * 4, info.maxLive + 64, 64});
+        const int cap = regsCapFor(kBudget, info.maxLive);
         std::string why;
         for (const FitStrategy fit : kFits) {
             int bestRegs = INT_MAX;
@@ -348,6 +357,134 @@ TEST(RotAllocDifferential, PinnedSuiteIdealSchedulesMatchArcListReference)
                 << loop.graph.name() << " " << fitStrategyName(fit);
         }
     }
+}
+
+// ---- Budget-bounded allocation vs the exact allocation ---------------
+
+/** True if both outcomes agree on every field, offsets included. */
+bool
+sameOutcome(const AllocationOutcome &got, const AllocationOutcome &want,
+            std::string *why)
+{
+    if (got.fits == want.fits && got.regsRequired == want.regsRequired &&
+        got.rotating == want.rotating &&
+        got.invariants == want.invariants && got.maxLive == want.maxLive &&
+        got.rotAlloc.ok == want.rotAlloc.ok &&
+        got.rotAlloc.registers == want.rotAlloc.registers &&
+        got.rotAlloc.offset == want.rotAlloc.offset) {
+        return true;
+    }
+    *why = strprintf("regs %d/%d rotating %d/%d (got/want), offsets %s",
+                     got.regsRequired, want.regsRequired, got.rotating,
+                     want.rotating,
+                     got.rotAlloc.offset == want.rotAlloc.offset
+                         ? "equal"
+                         : "differ");
+    return false;
+}
+
+/**
+ * At every budget in [0, regsRequired + 2], allocateWithinBudget is
+ * allocateLoop's outcome exactly when that fits, and nullopt otherwise.
+ * Returns the number of budgets that fit.
+ */
+int
+checkWithinBudget(const LifetimeInfo &info, FitStrategy fit,
+                  const std::string &what)
+{
+    int fitting = 0;
+    AllocationOutcome exact = allocateLoop(info, 0, fit);
+    int exactCap = regsCapFor(0, info.maxLive);
+    const int top = exact.regsRequired;
+    std::string why;
+    for (int budget = 0; budget <= top + 2; ++budget) {
+        // allocateLoop depends on the budget only through the fits flag
+        // and the register cap that bounds its scan. Once the scan
+        // succeeds, a larger cap finds the same pack, so the exact
+        // allocation is redone only while it fails and the cap grows.
+        const int cap = regsCapFor(budget, info.maxLive);
+        if (!exact.rotAlloc.ok && cap != exactCap) {
+            exact = allocateLoop(info, budget, fit);
+            exactCap = cap;
+        }
+        exact.fits = exact.regsRequired <= budget;
+        const std::optional<AllocationOutcome> bounded =
+            allocateWithinBudget(info, budget, fit);
+        if (!exact.fits) {
+            EXPECT_FALSE(bounded.has_value())
+                << what << " " << fitStrategyName(fit) << " budget "
+                << budget;
+            continue;
+        }
+        ++fitting;
+        if (!bounded) {
+            ADD_FAILURE() << what << " " << fitStrategyName(fit)
+                          << " budget " << budget << ": nullopt, but "
+                          << exact.regsRequired << " registers fit";
+            continue;
+        }
+        EXPECT_TRUE(sameOutcome(*bounded, exact, &why))
+            << what << " " << fitStrategyName(fit) << " budget " << budget
+            << ": " << why;
+    }
+    return fitting;
+}
+
+TEST(AllocWithinBudget, RandomLifetimesMatchExactAllocation)
+{
+    constexpr int kSets = 10000;
+    constexpr int kCap = 64;
+    Rng rng(0xb0d9e7);
+    int fitting = 0;
+    for (int set = 0; set < kSets; ++set) {
+        LifetimeInfo info = randomLifetimes(rng, kCap);
+        info.invariantCount = rng.range(0, 3);
+        for (const FitStrategy fit : kFits) {
+            fitting +=
+                checkWithinBudget(info, fit, "set " + std::to_string(set));
+            if (HasFailure())
+                return;
+        }
+    }
+    EXPECT_GT(fitting, 0);
+}
+
+TEST(AllocWithinBudget, PinnedSuiteIdealSchedulesMatchExactAllocation)
+{
+    const Machine m = Machine::p2l4();
+    const SuiteParams params;
+    for (int i = 0; i < params.numLoops; ++i) {
+        const SuiteLoop loop = generateSuiteLoop(params, i);
+        const PipelineResult ideal = pipelineIdeal(loop.graph, m);
+        const LifetimeInfo info =
+            analyzeLifetimes(ideal.graph(), ideal.sched);
+        for (const FitStrategy fit : kFits) {
+            EXPECT_GT(checkWithinBudget(info, fit, loop.graph.name()), 0);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(AllocWithinBudget, NothingFitsBelowMaxLivePlusInvariants)
+{
+    const Ddg g = buildPaperExampleLoop();  // One invariant 'a'.
+    const LifetimeInfo info = analyzeLifetimes(g, paperFlatSchedule(2));
+    ASSERT_EQ(info.invariantCount, 1);
+    const AllocationOutcome exact = allocateLoop(info, 32);
+    ASSERT_TRUE(exact.fits);
+    EXPECT_FALSE(
+        allocateWithinBudget(info, info.totalRegisterBound() - 1,
+                             FitStrategy::EndFit)
+            .has_value());
+    EXPECT_FALSE(allocateWithinBudget(info, exact.regsRequired - 1,
+                                      FitStrategy::EndFit)
+                     .has_value());
+    const auto tight =
+        allocateWithinBudget(info, exact.regsRequired, FitStrategy::EndFit);
+    ASSERT_TRUE(tight.has_value());
+    EXPECT_EQ(tight->regsRequired, exact.regsRequired);
+    EXPECT_EQ(tight->rotAlloc.offset, exact.rotAlloc.offset);
 }
 
 } // namespace
