@@ -3,7 +3,8 @@
  * Statistical micro-benchmarks of the library's hot components,
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
  * at MII, rotating register allocation, full constrained-pipeline runs
- * (iterative spill and increase-II), and the cycle-accurate simulator. These time individual layers
+ * (iterative spill and increase-II), generation of the pinned suite,
+ * and the cycle-accurate simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
  * figure-level harnesses that report one-shot experiment output.
  */
@@ -162,6 +163,19 @@ BM_IncreaseIiPipeline(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IncreaseIiPipeline)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
+
+void
+BM_GenerateSuite(benchmark::State &state)
+{
+    // Set-up layer: the pinned 1258-loop default-seed suite, generated
+    // serially as every batch front end does before its run. Ignores
+    // --loops/--seed so the number tracks one fixed workload.
+    const SuiteParams params;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(generateSuite(params));
+    state.SetItemsProcessed(state.iterations() * long(params.numLoops));
+}
+BENCHMARK(BM_GenerateSuite)->Unit(benchmark::kMillisecond);
 
 void
 BM_SuiteRunnerBatch(benchmark::State &state)

@@ -111,7 +111,6 @@
 #include "machine/machdesc.hh"
 #include "pipeliner/pipeliner.hh"
 #include "sched/fingerprint.hh"
-#include "sched/mii.hh"
 #include "sim/vliw.hh"
 #include "support/diag.hh"
 #include "support/strutil.hh"
@@ -421,10 +420,12 @@ outputPrologue(const CliOptions &opts)
  * shard record and the merge can reproduce the run by concatenation.
  * Diagnostics (the simulation-mismatch note) go to stderr, not `out`;
  * they reach the merged run through the returned rc instead.
+ * `loopMii` is the loop's MII on opts.machine, read from the runner's
+ * bounds memo that the batch run already filled.
  */
 int
 reportLoop(const CliOptions &opts, const SuiteLoop &loop,
-           const PipelineResult &r, std::ostream &out)
+           const PipelineResult &r, int loopMii, std::ostream &out)
 {
     const Ddg &g = loop.graph;
     const Machine &m = opts.machine;
@@ -433,7 +434,7 @@ reportLoop(const CliOptions &opts, const SuiteLoop &loop,
         out << g.name() << "," << m.name() << ","
             << (opts.ideal ? "ideal" : strategyName(opts.strategy))
             << "," << opts.pipeline.registers << ","
-            << (r.success ? 1 : 0) << "," << mii(g, m) << ","
+            << (r.success ? 1 : 0) << "," << loopMii << ","
             << r.ii() << "," << r.alloc.regsRequired << ","
             << r.spilledLifetimes << ","
             << r.memOpsPerIteration() << "," << r.attempts
@@ -442,7 +443,7 @@ reportLoop(const CliOptions &opts, const SuiteLoop &loop,
         out << "loop '" << g.name() << "' on " << m.name()
             << ": " << (r.success ? "fits" : "DOES NOT FIT")
             << " budget " << opts.pipeline.registers << " — II="
-            << r.ii() << " (MII " << mii(g, m) << "), "
+            << r.ii() << " (MII " << loopMii << "), "
             << r.alloc.regsRequired << " regs, "
             << r.spilledLifetimes << " spills, "
             << r.memOpsPerIteration() << " mem ops/iter\n";
@@ -653,8 +654,10 @@ main(int argc, char **argv)
                 std::ostringstream text;
                 ShardRecord rec;
                 rec.job = i;
-                rec.rc = reportLoop(opts, opts.loops[i], results[i],
-                                    text);
+                rec.rc = reportLoop(
+                    opts, opts.loops[i], results[i],
+                    runner.bounds(opts.loops[i].graph, opts.machine).mii,
+                    text);
                 rec.text = text.str();
                 rc |= rec.rc;
                 doc.records.push_back(std::move(rec));
@@ -672,8 +675,12 @@ main(int argc, char **argv)
 
         std::cout << outputPrologue(opts);
         int rc = 0;
-        for (std::size_t i = 0; i < opts.loops.size(); ++i)
-            rc |= reportLoop(opts, opts.loops[i], results[i], std::cout);
+        for (std::size_t i = 0; i < opts.loops.size(); ++i) {
+            rc |= reportLoop(
+                opts, opts.loops[i], results[i],
+                runner.bounds(opts.loops[i].graph, opts.machine).mii,
+                std::cout);
+        }
         return rc;
     } catch (const swp::FatalError &e) {
         std::cerr << e.what() << "\n";

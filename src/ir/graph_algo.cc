@@ -21,6 +21,7 @@ stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
     std::vector<int> index(std::size_t(n), -1);
     std::vector<int> lowlink(std::size_t(n), 0);
     std::vector<bool> onStack(std::size_t(n), false);
+    std::vector<bool> selfLoop(std::size_t(n), false);
     std::vector<int> stack;
     int nextIndex = 0;
 
@@ -42,6 +43,8 @@ stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
             const std::vector<int> &succs = succ[std::size_t(f.n)];
             if (f.i < succs.size()) {
                 const int w = succs[f.i++];
+                if (w == f.n)
+                    selfLoop[std::size_t(w)] = true;
                 if (index[std::size_t(w)] < 0) {
                     index[std::size_t(w)] = lowlink[std::size_t(w)] =
                         nextIndex++;
@@ -72,6 +75,9 @@ stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
                         result.nodes.push_back(w);
                     } while (w != v);
                     result.compBegin.push_back(int(result.nodes.size()));
+                    result.cyclicFlag.push_back(
+                        result.compSize(comp) > 1 ||
+                        selfLoop[std::size_t(v)]);
                 }
             }
         }
@@ -79,64 +85,48 @@ stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
     return result;
 }
 
-SccResult
-stronglyConnectedComponents(const Ddg &g)
+std::vector<std::vector<int>>
+liveSuccessors(const Ddg &g)
 {
-    // Successor lists in outEdges order: the DFS visits edges exactly
-    // as the historical DDG-walking Tarjan did, so component numbering
-    // and emission order are unchanged.
     std::vector<std::vector<int>> succ(std::size_t(g.numNodes()));
-    for (NodeId u = 0; u < g.numNodes(); ++u) {
-        std::vector<int> &out = succ[std::size_t(u)];
-        const auto edges = g.outEdges(u);
-        out.reserve(edges.size());
-        for (EdgeId e : edges)
-            out.push_back(g.edge(e).dst);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (edge.alive)
+            succ[std::size_t(edge.src)].push_back(edge.dst);
     }
-    AdjScc adj = stronglyConnectedComponents(succ);
-
-    SccResult result;
-    result.compOf = std::move(adj.compOf);
-    result.comps.reserve(std::size_t(adj.numComps()));
-    for (int c = 0; c < adj.numComps(); ++c) {
-        result.comps.emplace_back(adj.compNodes(c),
-                                  adj.compNodes(c) + adj.compSize(c));
-    }
-    result.isRecurrence.assign(std::size_t(result.numComps()), false);
-    for (int c = 0; c < result.numComps(); ++c) {
-        if (result.comps[std::size_t(c)].size() > 1) {
-            result.isRecurrence[std::size_t(c)] = true;
-        }
-    }
-    // A single node with a self edge is also a recurrence.
-    for (NodeId n = 0; n < g.numNodes(); ++n) {
-        for (EdgeId e : g.outEdges(n)) {
-            if (g.edge(e).dst == n)
-                result.isRecurrence[std::size_t(
-                    result.compOf[std::size_t(n)])] = true;
-        }
-    }
-    return result;
+    return succ;
 }
 
-std::vector<NodeId>
-topologicalOrder(const Ddg &g)
+void
+transitiveClosure(const std::vector<std::vector<int>> &succ, int n,
+                  BitMatrix &out, std::vector<int> &stack)
 {
-    const SccResult scc = stronglyConnectedComponents(g);
+    SWP_ASSERT(n >= 0 && std::size_t(n) <= succ.size(),
+               "closure over more nodes than adjacency rows");
+    out.reset(n, n);
+    for (int s = 0; s < n; ++s) {
+        stack.clear();
+        stack.push_back(s);
+        while (!stack.empty()) {
+            const int u = stack.back();
+            stack.pop_back();
+            for (const int v : succ[std::size_t(u)]) {
+                if (!out.test(s, v)) {
+                    out.set(s, v);
+                    stack.push_back(v);
+                }
+            }
+        }
+    }
+}
 
-    // Kahn's algorithm over the condensation. Tarjan emits components in
-    // reverse topological order, so sorting nodes by decreasing component
-    // index gives a valid order of the condensation; within a component
-    // we keep node-id order for determinism.
-    std::vector<NodeId> order(std::size_t(g.numNodes()));
-    for (NodeId n = 0; n < g.numNodes(); ++n)
-        order[std::size_t(n)] = n;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](NodeId a, NodeId b) {
-                         return scc.compOf[std::size_t(a)] >
-                                scc.compOf[std::size_t(b)];
-                     });
-    return order;
+BitMatrix
+reachability(const Ddg &g)
+{
+    BitMatrix reach;
+    std::vector<int> stack;
+    transitiveClosure(liveSuccessors(g), g.numNodes(), reach, stack);
+    return reach;
 }
 
 std::vector<NodeId>
@@ -173,55 +163,6 @@ topologicalOrderIntraIteration(const Ddg &g)
                   "' has a zero-distance dependence cycle");
     }
     return order;
-}
-
-std::vector<std::vector<bool>>
-reachability(const Ddg &g)
-{
-    const int n = g.numNodes();
-    const SccResult scc = stronglyConnectedComponents(g);
-    const int nc = scc.numComps();
-
-    // Tarjan emits components in reverse topological order: for an edge
-    // between distinct components a -> b, compOf(b) < compOf(a). So
-    // iterating components in increasing index processes successors first
-    // and component reach sets are complete when read.
-    std::vector<std::vector<bool>> compReach(
-        std::size_t(nc), std::vector<bool>(std::size_t(nc), false));
-    for (int c = 0; c < nc; ++c) {
-        if (scc.isRecurrence[std::size_t(c)])
-            compReach[std::size_t(c)][std::size_t(c)] = true;
-        for (NodeId u : scc.comps[std::size_t(c)]) {
-            for (EdgeId e : g.outEdges(u)) {
-                const int d =
-                    scc.compOf[std::size_t(g.edge(e).dst)];
-                if (d == c)
-                    continue;
-                compReach[std::size_t(c)][std::size_t(d)] = true;
-                for (int w = 0; w < nc; ++w) {
-                    if (compReach[std::size_t(d)][std::size_t(w)])
-                        compReach[std::size_t(c)][std::size_t(w)] = true;
-                }
-            }
-        }
-    }
-
-    std::vector<std::vector<bool>> reach(
-        std::size_t(n), std::vector<bool>(std::size_t(n), false));
-    for (NodeId u = 0; u < n; ++u) {
-        const int cu = scc.compOf[std::size_t(u)];
-        for (NodeId v = 0; v < n; ++v) {
-            const int cv = scc.compOf[std::size_t(v)];
-            if (cu == cv) {
-                reach[std::size_t(u)][std::size_t(v)] =
-                    scc.isRecurrence[std::size_t(cu)];
-            } else {
-                reach[std::size_t(u)][std::size_t(v)] =
-                    compReach[std::size_t(cu)][std::size_t(cv)];
-            }
-        }
-    }
-    return reach;
 }
 
 } // namespace swp

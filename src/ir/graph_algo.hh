@@ -1,8 +1,10 @@
 /**
  * @file
- * Graph algorithms over the DDG: strongly connected components,
- * topological ordering, and reachability. These underpin RecMII
- * computation and the HRMS pre-ordering phase.
+ * Graph structure over the DDG and over plain adjacency lists: strongly
+ * connected components, transitive closure, and the intra-iteration
+ * topological order. This is the one place that computes which nodes
+ * reach which; RecMII, the HRMS pre-ordering and the suite generator
+ * all read it from here.
  */
 
 #ifndef SWP_IR_GRAPH_ALGO_HH
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "ir/ddg.hh"
+#include "support/bitmatrix.hh"
 
 namespace swp
 {
@@ -18,8 +21,8 @@ namespace swp
 /**
  * Strongly connected components of a plain adjacency list (successor
  * lists; parallel edges and self-loops allowed). This is the one Tarjan
- * implementation in the library — the DDG overload and the schedulers'
- * condensed group graphs all decompose through it.
+ * implementation in the library — RecMII's cyclic regions and the
+ * schedulers' condensed group graphs all decompose through it.
  */
 struct AdjScc
 {
@@ -32,6 +35,9 @@ struct AdjScc
     std::vector<int> nodes;
     /** Offsets into nodes; component c is [compBegin[c], compBegin[c+1]). */
     std::vector<int> compBegin;
+    /** Per component: some cycle runs through it (more than one node, or
+        a self-loop). */
+    std::vector<char> cyclicFlag;
 
     int numComps() const { return int(compBegin.size()) - 1; }
     int compSize(int c) const
@@ -42,6 +48,8 @@ struct AdjScc
     {
         return nodes.data() + compBegin[std::size_t(c)];
     }
+    /** True if component c is a recurrence (a cycle runs through it). */
+    bool cyclic(int c) const { return cyclicFlag[std::size_t(c)] != 0; }
 };
 
 /**
@@ -52,34 +60,21 @@ struct AdjScc
 AdjScc stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
                                    int numNodes = -1);
 
-/**
- * Strongly connected components of the DDG (all live edges considered,
- * regardless of distance). Components with more than one node, or with a
- * self-edge, are recurrences.
- */
-struct SccResult
-{
-    /** Component index per node, in reverse topological discovery order. */
-    std::vector<int> compOf;
-    /** Nodes of each component. */
-    std::vector<std::vector<NodeId>> comps;
-
-    /** True if the component is a recurrence (cycle through it). */
-    std::vector<bool> isRecurrence;
-
-    int numComps() const { return int(comps.size()); }
-};
-
-/** Tarjan SCC over live edges. */
-SccResult stronglyConnectedComponents(const Ddg &g);
+/** Successor lists of the DDG over live edges, in edge-id order. */
+std::vector<std::vector<int>> liveSuccessors(const Ddg &g);
 
 /**
- * Topological order of all nodes treating the graph as acyclic by
- * ignoring edges internal to a recurrence that would close a cycle
- * (formally: a topological order of the condensation expanded with an
- * arbitrary consistent order inside each component).
+ * Transitive closure of the first n rows of succ into out (n x n):
+ * out(s, v) = some non-empty path leads from s to v, so s reaches itself
+ * only when it lies on a cycle. One DFS per source over word-packed
+ * rows; `stack` is caller-owned scratch, so a workspace that closes a
+ * graph per probe reuses both buffers.
  */
-std::vector<NodeId> topologicalOrder(const Ddg &g);
+void transitiveClosure(const std::vector<std::vector<int>> &succ, int n,
+                       BitMatrix &out, std::vector<int> &stack);
+
+/** Reachability over live edges: test(u, v) = u reaches v. */
+BitMatrix reachability(const Ddg &g);
 
 /**
  * Topological order of the loop-independent subgraph: only edges with
@@ -87,9 +82,6 @@ std::vector<NodeId> topologicalOrder(const Ddg &g);
  * order to exist; verifyDdg() checks it.
  */
 std::vector<NodeId> topologicalOrderIntraIteration(const Ddg &g);
-
-/** Bit-matrix reachability (live edges). result[u][v] = u reaches v. */
-std::vector<std::vector<bool>> reachability(const Ddg &g);
 
 } // namespace swp
 

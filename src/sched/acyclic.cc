@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sched/groups.hh"
+#include "support/bitmatrix.hh"
 #include "support/diag.hh"
 
 namespace swp
@@ -16,15 +17,12 @@ namespace
 class LinearRt
 {
   public:
-    LinearRt(const Machine &m, int horizon)
-        : m_(m), horizon_(horizon),
-          busy_(std::size_t(m.numClasses()))
+    LinearRt(const Machine &m, int horizon) : m_(m), horizon_(horizon)
     {
-        for (int cls = 0; cls < m.numClasses(); ++cls) {
-            busy_[std::size_t(cls)].assign(
-                std::size_t(m.unitsInClass(cls)) * std::size_t(horizon),
-                false);
-        }
+        int maxUnits = 0;
+        for (int cls = 0; cls < m.numClasses(); ++cls)
+            maxUnits = std::max(maxUnits, m.unitsInClass(cls));
+        busy_.reset(m.numClasses(), maxUnits * horizon);
     }
 
     /** Find a unit free at [t, t+occ) for op, or -1. */
@@ -39,7 +37,7 @@ class LinearRt
         for (int u = 0; u < units; ++u) {
             bool free = true;
             for (int c = 0; c < occ && free; ++c)
-                free = !busy_[std::size_t(cls)][idx(u, t + c)];
+                free = !busy_.test(cls, idx(u, t + c));
             if (free)
                 return u;
         }
@@ -57,19 +55,20 @@ class LinearRt
     {
         const int cls = m_.classOf(op);
         const int occ = m_.occupancy(op);
-        for (int c = 0; c < occ; ++c)
-            busy_[std::size_t(cls)][idx(u, t + c)] = busy;
+        for (int c = 0; c < occ; ++c) {
+            if (busy)
+                busy_.set(cls, idx(u, t + c));
+            else
+                busy_.clear(cls, idx(u, t + c));
+        }
     }
 
-    std::size_t
-    idx(int unit, int t) const
-    {
-        return std::size_t(unit) * std::size_t(horizon_) + std::size_t(t);
-    }
+    int idx(int unit, int t) const { return unit * horizon_ + t; }
 
     const Machine &m_;
     int horizon_;
-    std::vector<std::vector<bool>> busy_;
+    /** One row per unit class; column idx(unit, t). */
+    BitMatrix busy_;
 };
 
 } // namespace

@@ -109,8 +109,8 @@ struct HrmsContext
             }
         }
 
-        buildReach(ws.succ, ws.reach);
-        buildReach(ws.succ0, ws.reach0);
+        transitiveClosure(ws.succ.rows, n, ws.reach, ws.dfsStack);
+        transitiveClosure(ws.succ0.rows, n, ws.reach0, ws.dfsStack);
 
         // Transpose of reach, for "is v reachable from any of set S"
         // queries (a column of reach is a row of the transpose).
@@ -123,28 +123,6 @@ struct HrmsContext
                     const int v = w * 64 + countTrailingZeros(bits);
                     bits &= bits - 1;
                     ws.reachT.set(v, s);
-                }
-            }
-        }
-    }
-
-    /** out[s] = set of groups reachable from s through adj (s itself
-        only when on a cycle). */
-    void
-    buildReach(const ScratchAdj &adj, BitMatrix &out)
-    {
-        out.reset(n, n);
-        for (int s = 0; s < n; ++s) {
-            ws.dfsStack.clear();
-            ws.dfsStack.push_back(s);
-            while (!ws.dfsStack.empty()) {
-                const int u = ws.dfsStack.back();
-                ws.dfsStack.pop_back();
-                for (const int v : adj[u]) {
-                    if (!out.test(s, v)) {
-                        out.set(s, v);
-                        ws.dfsStack.push_back(v);
-                    }
                 }
             }
         }
@@ -197,7 +175,7 @@ class Ordering
         std::vector<std::pair<long, std::vector<int>>> recurrences;
         for (int c = 0; c < scc.numComps(); ++c) {
             const int *members = scc.compNodes(c);
-            if (!isRecurrence(members, scc.compSize(c)))
+            if (!scc.cyclic(c))
                 continue;
             std::vector<int> comp(members, members + scc.compSize(c));
             std::vector<NodeId> nodes;
@@ -304,17 +282,6 @@ class Ordering
     }
 
   private:
-    bool
-    isRecurrence(const int *comp, int size) const
-    {
-        if (size > 1)
-            return true;
-        const int v = comp[0];
-        const auto &succs = ws_.succ[v];
-        return std::find(succs.begin(), succs.end(), v) != succs.end() ||
-               ws_.reach.test(v, v);
-    }
-
     /** Some ordered group reaches v (a column of reach = a row of the
         transpose, intersected with the ordered mask — word-parallel). */
     bool

@@ -116,30 +116,13 @@ searchRegionRecMii(const CyclicRegion &r, long lo, std::vector<long> &dist)
 std::vector<CyclicRegion>
 cyclicRegions(const Ddg &g, const Machine &m)
 {
-    const int n = g.numNodes();
-    std::vector<std::vector<int>> adj;
-    adj.resize(std::size_t(n));
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (edge.alive)
-            adj[std::size_t(edge.src)].push_back(edge.dst);
-    }
-    const AdjScc scc = stronglyConnectedComponents(adj);
-
-    std::vector<bool> cyclic(std::size_t(scc.numComps()), false);
-    for (int c = 0; c < scc.numComps(); ++c)
-        cyclic[std::size_t(c)] = scc.compSize(c) > 1;
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (edge.alive && edge.src == edge.dst)
-            cyclic[std::size_t(scc.compOf[std::size_t(edge.src)])] = true;
-    }
+    const AdjScc scc = stronglyConnectedComponents(liveSuccessors(g));
 
     std::vector<int> regionOf(std::size_t(scc.numComps()), -1);
-    std::vector<int> localId(std::size_t(n), -1);
+    std::vector<int> localId(std::size_t(g.numNodes()), -1);
     std::vector<CyclicRegion> regions;
     for (int c = 0; c < scc.numComps(); ++c) {
-        if (!cyclic[std::size_t(c)])
+        if (!scc.cyclic(c))
             continue;
         regionOf[std::size_t(c)] = int(regions.size());
         regions.emplace_back();

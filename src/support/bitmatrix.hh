@@ -100,6 +100,12 @@ class BitMatrix
         row(r)[c >> 6] |= std::uint64_t(1) << (c & 63);
     }
 
+    void
+    clear(int r, int c)
+    {
+        row(r)[c >> 6] &= ~(std::uint64_t(1) << (c & 63));
+    }
+
     const std::uint64_t *
     row(int r) const
     {

@@ -100,7 +100,7 @@ addRecurrence(LoopGen &gen)
     std::vector<std::pair<NodeId, NodeId>> pairs;
     for (NodeId a : gen.values) {
         for (NodeId b : gen.values) {
-            if (a != b && reach[std::size_t(a)][std::size_t(b)] &&
+            if (a != b && reach.test(a, b) &&
                 producesValue(gen.g.node(b).op)) {
                 pairs.emplace_back(a, b);
             }
@@ -137,7 +137,7 @@ addCarriedUse(LoopGen &gen, int max_distance)
         // Adding producer->consumer with distance >= 1 is always legal
         // (no zero-distance cycle possible), but avoid creating an
         // unintended recurrence: skip when consumer reaches producer.
-        if (reach[std::size_t(consumer)][std::size_t(producer)])
+        if (reach.test(consumer, producer))
             continue;
         gen.use(producer, consumer, gen.rng.range(1, max_distance));
         return;

@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 #include "ir/builder.hh"
 #include "ir/graph_algo.hh"
 #include "ir/verify.hh"
 #include "support/diag.hh"
+#include "support/rng.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -172,37 +175,52 @@ TEST(GraphAlgo, SccFindsRecurrence)
     b.flow(d, a, 1);  // Closes the cycle with distance 1.
     const Ddg g = b.take();
 
-    const SccResult scc = stronglyConnectedComponents(g);
+    const AdjScc scc = stronglyConnectedComponents(liveSuccessors(g));
     EXPECT_EQ(scc.numComps(), 1);
-    EXPECT_TRUE(scc.isRecurrence[0]);
+    EXPECT_TRUE(scc.cyclic(0));
 }
 
 TEST(GraphAlgo, SelfEdgeIsARecurrence)
 {
     DdgBuilder b("self");
     const NodeId a = b.add("a");
+    const NodeId c = b.add("c");
     b.flow(a, a, 2);
+    b.flow(a, c);
     const Ddg g = b.take();
-    const SccResult scc = stronglyConnectedComponents(g);
-    ASSERT_EQ(scc.numComps(), 1);
-    EXPECT_TRUE(scc.isRecurrence[0]);
+    const AdjScc scc = stronglyConnectedComponents(liveSuccessors(g));
+    ASSERT_EQ(scc.numComps(), 2);
+    EXPECT_TRUE(scc.cyclic(scc.compOf[std::size_t(a)]));
+    EXPECT_FALSE(scc.cyclic(scc.compOf[std::size_t(c)]));
 }
 
-/** Test-local reachability by DFS over live edges (u itself only when
-    on a cycle) — the reference the SCC properties are checked against. */
-std::vector<std::vector<bool>>
-refReachability(const Ddg &g)
+/** Live successor lists read through Ddg::outEdges — kept apart from
+    liveSuccessors() so the checks below do not trust it. */
+std::vector<std::vector<int>>
+refSuccessors(const Ddg &g)
 {
-    const int n = g.numNodes();
+    std::vector<std::vector<int>> succ(std::size_t(g.numNodes()));
+    for (NodeId u = 0; u < g.numNodes(); ++u) {
+        for (EdgeId e : g.outEdges(u))
+            succ[std::size_t(u)].push_back(g.edge(e).dst);
+    }
+    return succ;
+}
+
+/** Test-local reachability by DFS over the first n rows of succ (u
+    itself only when on a cycle) — the reference the SCC and closure
+    properties are checked against. */
+std::vector<std::vector<bool>>
+refReachability(const std::vector<std::vector<int>> &succ, int n)
+{
     std::vector<std::vector<bool>> reach(
         std::size_t(n), std::vector<bool>(std::size_t(n), false));
-    for (NodeId s = 0; s < n; ++s) {
-        std::vector<NodeId> stack = {s};
+    for (int s = 0; s < n; ++s) {
+        std::vector<int> stack = {s};
         while (!stack.empty()) {
-            const NodeId u = stack.back();
+            const int u = stack.back();
             stack.pop_back();
-            for (EdgeId e : g.outEdges(u)) {
-                const NodeId v = g.edge(e).dst;
+            for (const int v : succ[std::size_t(u)]) {
                 if (!reach[std::size_t(s)][std::size_t(v)]) {
                     reach[std::size_t(s)][std::size_t(v)] = true;
                     stack.push_back(v);
@@ -213,78 +231,158 @@ refReachability(const Ddg &g)
     return reach;
 }
 
-TEST(GraphAlgo, SccPartitionIsAPermutationAndComponentsAreMaximal)
+/**
+ * The SCC properties against a reference reachability: the result is a
+ * partition (every node in exactly one component, matching compOf),
+ * components are exactly the mutual-reachability classes (so they are
+ * maximal), cyclic(c) holds iff a member reaches itself, and the
+ * emission order is reverse topological.
+ */
+void
+checkSccProperties(const AdjScc &scc,
+                   const std::vector<std::vector<int>> &succ, int n,
+                   const std::vector<std::vector<bool>> &reach)
 {
-    // Property test over the pinned-seed generated suite: the SCC
-    // result is a partition (every node in exactly one component,
-    // matching compOf), components are exactly the mutual-reachability
-    // classes (so they are maximal), the emission order is reverse
-    // topological, and the adjacency-list overload agrees with the DDG
-    // overload.
-    SuiteParams params;
-    params.numLoops = 40;
-    const std::vector<SuiteLoop> suite = generateSuite(params);
-    for (const SuiteLoop &loop : suite) {
-        const Ddg &g = loop.graph;
-        const int n = g.numNodes();
-        const SccResult scc = stronglyConnectedComponents(g);
+    ASSERT_EQ(int(scc.compOf.size()), n);
+    ASSERT_EQ(int(scc.cyclicFlag.size()), scc.numComps());
 
-        // Partition: each node appears exactly once, where compOf says.
-        std::vector<int> seen(std::size_t(n), 0);
-        for (int c = 0; c < scc.numComps(); ++c) {
-            for (const NodeId v : scc.comps[std::size_t(c)]) {
-                ++seen[std::size_t(v)];
-                ASSERT_EQ(scc.compOf[std::size_t(v)], c);
-            }
+    // Partition: each node appears exactly once, where compOf says.
+    std::vector<int> seen(std::size_t(n), 0);
+    for (int c = 0; c < scc.numComps(); ++c) {
+        ASSERT_GT(scc.compSize(c), 0);
+        for (int i = 0; i < scc.compSize(c); ++i) {
+            const int v = scc.compNodes(c)[i];
+            ++seen[std::size_t(v)];
+            ASSERT_EQ(scc.compOf[std::size_t(v)], c);
         }
-        for (NodeId v = 0; v < n; ++v)
-            ASSERT_EQ(seen[std::size_t(v)], 1) << g.name() << " node " << v;
+    }
+    for (int v = 0; v < n; ++v)
+        ASSERT_EQ(seen[std::size_t(v)], 1) << "node " << v;
 
-        // Components = mutual reachability classes (maximality: two
-        // mutually reachable nodes are never split across components).
-        const auto reach = refReachability(g);
-        for (NodeId u = 0; u < n; ++u) {
-            for (NodeId v = 0; v < n; ++v) {
-                const bool sameComp = scc.compOf[std::size_t(u)] ==
-                                      scc.compOf[std::size_t(v)];
-                const bool mutual =
-                    u == v || (reach[std::size_t(u)][std::size_t(v)] &&
-                               reach[std::size_t(v)][std::size_t(u)]);
-                ASSERT_EQ(sameComp, mutual)
-                    << g.name() << " nodes " << u << ", " << v;
-            }
+    // Components = mutual reachability classes (maximality: two
+    // mutually reachable nodes are never split across components).
+    for (int u = 0; u < n; ++u) {
+        for (int v = 0; v < n; ++v) {
+            const bool sameComp =
+                scc.compOf[std::size_t(u)] == scc.compOf[std::size_t(v)];
+            const bool mutual =
+                u == v || (reach[std::size_t(u)][std::size_t(v)] &&
+                           reach[std::size_t(v)][std::size_t(u)]);
+            ASSERT_EQ(sameComp, mutual) << "nodes " << u << ", " << v;
         }
+    }
 
-        // isRecurrence(c) == some member lies on a cycle.
-        for (int c = 0; c < scc.numComps(); ++c) {
-            const NodeId v = scc.comps[std::size_t(c)][0];
-            ASSERT_EQ(scc.isRecurrence[std::size_t(c)],
-                      bool(reach[std::size_t(v)][std::size_t(v)]));
-        }
+    // cyclic(c) == some member lies on a cycle.
+    for (int c = 0; c < scc.numComps(); ++c) {
+        const int v = scc.compNodes(c)[0];
+        ASSERT_EQ(scc.cyclic(c), bool(reach[std::size_t(v)][std::size_t(v)]))
+            << "component " << c;
+    }
 
-        // Reverse topological emission: a live edge between distinct
-        // components points to the lower component index.
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            if (!g.edge(e).alive)
-                continue;
-            const int cs = scc.compOf[std::size_t(g.edge(e).src)];
-            const int cd = scc.compOf[std::size_t(g.edge(e).dst)];
+    // Reverse topological emission: an edge between distinct
+    // components points to the lower component index.
+    for (int u = 0; u < n; ++u) {
+        for (const int v : succ[std::size_t(u)]) {
+            const int cs = scc.compOf[std::size_t(u)];
+            const int cd = scc.compOf[std::size_t(v)];
             if (cs != cd) {
                 ASSERT_LT(cd, cs);
             }
         }
+    }
+}
 
-        // The adjacency-list overload is the same Tarjan: identical
-        // partition and numbering when fed the same successor lists.
-        std::vector<std::vector<int>> adj;
-        adj.resize(std::size_t(n));
+TEST(GraphAlgo, SccPartitionIsAPermutationAndComponentsAreMaximal)
+{
+    // Property test over the pinned-seed generated suite, with the DDG
+    // adjacency and reachability both checked against the references.
+    SuiteParams params;
+    params.numLoops = 40;
+    const std::vector<SuiteLoop> suite = generateSuite(params);
+    for (const SuiteLoop &loop : suite) {
+        SCOPED_TRACE(loop.graph.name());
+        const Ddg &g = loop.graph;
+        const int n = g.numNodes();
+        const std::vector<std::vector<int>> succ = liveSuccessors(g);
+        // Same successor multiset per node (row order is not promised).
+        std::vector<std::vector<int>> sorted = succ;
+        std::vector<std::vector<int>> expected = refSuccessors(g);
         for (NodeId u = 0; u < n; ++u) {
-            for (EdgeId e : g.outEdges(u))
-                adj[std::size_t(u)].push_back(g.edge(e).dst);
+            std::sort(sorted[std::size_t(u)].begin(),
+                      sorted[std::size_t(u)].end());
+            std::sort(expected[std::size_t(u)].begin(),
+                      expected[std::size_t(u)].end());
         }
-        const AdjScc flat = stronglyConnectedComponents(adj);
-        ASSERT_EQ(flat.numComps(), scc.numComps());
-        EXPECT_EQ(flat.compOf, scc.compOf);
+        ASSERT_EQ(sorted, expected);
+        const auto reach = refReachability(succ, n);
+        checkSccProperties(stronglyConnectedComponents(succ), succ, n,
+                           reach);
+
+        const BitMatrix closure = reachability(g);
+        ASSERT_EQ(closure.rows(), n);
+        ASSERT_EQ(closure.cols(), n);
+        for (int u = 0; u < n; ++u) {
+            for (int v = 0; v < n; ++v) {
+                ASSERT_EQ(closure.test(u, v),
+                          bool(reach[std::size_t(u)][std::size_t(v)]))
+                    << u << " -> " << v;
+            }
+        }
+    }
+}
+
+TEST(GraphAlgo, ClosureAndSccMatchReferenceOnRandomAdjacency)
+{
+    // Seeded random adjacency lists with self-loops, parallel edges and
+    // spare rows beyond n (as reused workspace adjacency keeps): the
+    // word-packed closure must equal the reference DFS bit for bit, and
+    // the SCC cyclic flags must equal the closure's diagonal. Sizes
+    // cross the 64-column word boundary, and the closure buffers are
+    // reused across graphs, as a scheduling workspace reuses them.
+    Rng rng(0x5eedC105u);
+    BitMatrix closure;
+    std::vector<int> stack;
+    for (int trial = 0; trial < 300; ++trial) {
+        const int n = rng.range(0, 150);
+        const int spare = rng.range(0, 3);
+        std::vector<std::vector<int>> succ(std::size_t(n + spare));
+        for (int u = 0; u < n + spare; ++u) {
+            const int degree = rng.range(0, 3);
+            for (int k = 0; k < degree; ++k) {
+                int v = rng.range(0, n + spare - 1);
+                if (u < n) {
+                    // Rows inside the graph point inside it; self-loops
+                    // and repeated successors are drawn on purpose.
+                    v = rng.chance(0.1) ? u : v % n;
+                }
+                succ[std::size_t(u)].push_back(v);
+                if (rng.chance(0.15))
+                    succ[std::size_t(u)].push_back(v);
+            }
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial) + ", n " +
+                     std::to_string(n));
+        const auto reach = refReachability(succ, n);
+
+        transitiveClosure(succ, n, closure, stack);
+        ASSERT_EQ(closure.rows(), n);
+        ASSERT_EQ(closure.cols(), n);
+        for (int u = 0; u < n; ++u) {
+            for (int v = 0; v < n; ++v) {
+                ASSERT_EQ(closure.test(u, v),
+                          bool(reach[std::size_t(u)][std::size_t(v)]))
+                    << u << " -> " << v;
+            }
+        }
+
+        const AdjScc scc = stronglyConnectedComponents(succ, n);
+        checkSccProperties(scc, succ, n, reach);
+        for (int c = 0; c < scc.numComps(); ++c) {
+            for (int i = 0; i < scc.compSize(c); ++i) {
+                const int v = scc.compNodes(c)[i];
+                ASSERT_EQ(scc.cyclic(c), closure.test(v, v)) << "node " << v;
+            }
+        }
     }
 }
 
@@ -332,13 +430,13 @@ TEST(GraphAlgo, ReachabilityThroughSccAndBeyond)
     bld.flow(c, d);
     const Ddg g = bld.take();
 
-    const auto reach = reachability(g);
-    EXPECT_TRUE(reach[std::size_t(a)][std::size_t(d)]);
-    EXPECT_TRUE(reach[std::size_t(a)][std::size_t(b)]);
-    EXPECT_TRUE(reach[std::size_t(b)][std::size_t(b)]);  // Via the cycle.
-    EXPECT_TRUE(reach[std::size_t(c)][std::size_t(c)]);
-    EXPECT_FALSE(reach[std::size_t(a)][std::size_t(a)]);
-    EXPECT_FALSE(reach[std::size_t(d)][std::size_t(a)]);
+    const BitMatrix reach = reachability(g);
+    EXPECT_TRUE(reach.test(a, d));
+    EXPECT_TRUE(reach.test(a, b));
+    EXPECT_TRUE(reach.test(b, b));  // Via the cycle.
+    EXPECT_TRUE(reach.test(c, c));
+    EXPECT_FALSE(reach.test(a, a));
+    EXPECT_FALSE(reach.test(d, a));
 }
 
 TEST(Verify, AcceptsPaperExample)

@@ -308,6 +308,11 @@ TEST(BitMatrix, SetTestAndCrossWordColumns)
     EXPECT_FALSE(m.test(0, 63));
     EXPECT_FALSE(m.test(1, 62));
     EXPECT_FALSE(m.test(1, 65));
+    // clear() drops one bit and leaves its word neighbours set.
+    m.clear(1, 64);
+    EXPECT_FALSE(m.test(1, 64));
+    EXPECT_TRUE(m.test(1, 63));
+    EXPECT_TRUE(m.test(2, 69));
 }
 
 TEST(BitMatrix, ResetClearsAndReusesAcrossShapes)
