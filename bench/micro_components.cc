@@ -2,7 +2,8 @@
  * @file
  * Statistical micro-benchmarks of the library's hot components,
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
- * at MII, rotating register allocation, full constrained-pipeline runs
+ * at MII (HRMS also on a fresh graph per probe), rotating register
+ * allocation, full constrained-pipeline runs
  * (iterative spill and increase-II), generation of the pinned suite,
  * and the cycle-accurate simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
@@ -22,7 +23,11 @@
 #include "support/singleflight.hh"
 #include "workload/suitegen.hh"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <utility>
+#include <vector>
 
 namespace
 {
@@ -73,6 +78,52 @@ BM_HrmsAtMii(benchmark::State &state)
 }
 BENCHMARK(BM_HrmsAtMii)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
 
+/**
+ * The `count` pinned loops closest in size to `target` (ties in suite
+ * order), each with its MII on the bench machine.
+ */
+std::vector<std::pair<const SuiteLoop *, int>>
+loopsNearSize(int target, std::size_t count, const Machine &m)
+{
+    const std::vector<SuiteLoop> &suite = benchutil::evaluationSuite();
+    std::vector<const SuiteLoop *> loops;
+    loops.reserve(suite.size());
+    for (const SuiteLoop &loop : suite)
+        loops.push_back(&loop);
+    std::stable_sort(loops.begin(), loops.end(),
+                     [&](const SuiteLoop *a, const SuiteLoop *b) {
+                         return std::abs(a->graph.numNodes() - target) <
+                                std::abs(b->graph.numNodes() - target);
+                     });
+    loops.resize(std::min(loops.size(), count));
+    std::vector<std::pair<const SuiteLoop *, int>> out;
+    out.reserve(loops.size());
+    for (const SuiteLoop *loop : loops)
+        out.emplace_back(loop, mii(loop->graph, m));
+    return out;
+}
+
+void
+BM_HrmsColdProbe(benchmark::State &state)
+{
+    // One probe at MII per iteration, through one scheduler object, on
+    // 16 distinct loops of the size class in rotation. This is the
+    // probe a spill round issues: each round rewrites the graph, so
+    // the scheduler has not seen it and builds its per-graph plan
+    // (groups, condensed graph, ranked recurrences) before ordering.
+    // BM_HrmsAtMii re-probes one graph and times only plan reuse.
+    const Machine m = benchutil::benchMachine();
+    const auto loops = loopsNearSize(int(state.range(0)), 16, m);
+    HrmsScheduler hrms;
+    std::size_t next = 0;
+    for (auto _ : state) {
+        const auto &[loop, lower] = loops[next];
+        next = (next + 1) % loops.size();
+        benchmark::DoNotOptimize(hrms.scheduleAt(loop->graph, m, lower));
+    }
+}
+BENCHMARK(BM_HrmsColdProbe)->Arg(8)->Arg(24)->Arg(48)->Arg(80);
+
 void
 BM_ImsAtMii(benchmark::State &state)
 {
@@ -89,10 +140,10 @@ void
 BM_HrmsIiSweep(benchmark::State &state)
 {
     // Eight consecutive scheduleAt probes of one loop against one
-    // scheduler object — the shape of a spill driver's II search. This
-    // is the scheduleAt-dominated workload the reusable workspace and
-    // the recurrence-decomposition cache target: every probe after the
-    // first reuses the scratch buffers and the cached cyclic SCCs.
+    // scheduler object — the shape of an II search. Every probe after
+    // the first reuses the workspace's scratch buffers and the loop's
+    // per-graph plan, so this times the per-probe work: priorities,
+    // ordering and placement.
     const SuiteLoop &loop = loopOfSize(int(state.range(0)));
     const Machine m = benchutil::benchMachine();
     const int lower = mii(loop.graph, m);
@@ -152,7 +203,8 @@ void
 BM_IncreaseIiPipeline(benchmark::State &state)
 {
     // The increase-II strategy: one schedule and one budget-bounded
-    // allocation per II probe, plus the acyclic schedule that caps II.
+    // allocation per II probe, plus — only when the MII probe does not
+    // fit — the acyclic schedule that caps II.
     const SuiteLoop &loop = loopOfSize(int(state.range(0)));
     const Machine m = benchutil::benchMachine();
     PipelinerOptions opts;

@@ -88,7 +88,16 @@ stronglyConnectedComponents(const std::vector<std::vector<int>> &succ,
 std::vector<std::vector<int>>
 liveSuccessors(const Ddg &g)
 {
+    // Size every row first, so the fill below never reallocates.
+    std::vector<int> degree(std::size_t(g.numNodes()), 0);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (edge.alive)
+            ++degree[std::size_t(edge.src)];
+    }
     std::vector<std::vector<int>> succ(std::size_t(g.numNodes()));
+    for (NodeId v = 0; v < g.numNodes(); ++v)
+        succ[std::size_t(v)].reserve(std::size_t(degree[std::size_t(v)]));
     for (EdgeId e = 0; e < g.numEdges(); ++e) {
         const Edge &edge = g.edge(e);
         if (edge.alive)

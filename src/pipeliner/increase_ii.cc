@@ -22,26 +22,40 @@ increaseIiStrategy(const Ddg &g, const Machine &m,
     ModuloScheduler &scheduler =
         resolveScheduler(ctx, opts.scheduler, schedStorage);
 
+    // One II probe: schedule, then allocate within the budget.
+    auto fitsAt = [&](int ii) {
+        ++result.attempts;
+        ++result.rounds;
+        auto sched = scheduler.scheduleAt(g, m, ii);
+        if (!sched)
+            return false;
+        auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
+                                          opts.registers, opts.fit);
+        if (!alloc)
+            return false;
+        result.success = true;
+        result.sched = std::move(*sched);
+        result.alloc = std::move(*alloc);
+        return true;
+    };
+
+    // Most loops fit at MII, and the acyclic schedule is only needed
+    // past that probe: its length is never below MII (it is a valid
+    // schedule at its own II, and MII bounds every valid II), so MII
+    // is always the first probe of the loop below.
+    if (fitsAt(result.mii))
+        return result;
+
     // Beyond the single-stage schedule length, increasing II cannot
     // reduce registers any further: only distance components and
     // invariants remain, and those are II-independent or grow with it.
     const Schedule acyclic = scheduleAcyclic(g, m);
     const int limit = acyclic.ii();
-
-    for (int ii = result.mii; ii <= limit; ++ii) {
-        ++result.attempts;
-        ++result.rounds;
-        auto sched = scheduler.scheduleAt(g, m, ii);
-        if (!sched)
-            continue;
-        auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
-                                          opts.registers, opts.fit);
-        if (alloc) {
-            result.success = true;
-            result.sched = std::move(*sched);
-            result.alloc = std::move(*alloc);
+    SWP_ASSERT(limit >= result.mii, "acyclic schedule of '", g.name(),
+               "' is shorter than its MII");
+    for (int ii = result.mii + 1; ii <= limit; ++ii) {
+        if (fitsAt(ii))
             return result;
-        }
     }
 
     // Divergent: fall back to local (acyclic) scheduling.

@@ -1,6 +1,7 @@
 #include "sched/fingerprint.hh"
 
 #include "machine/machdesc.hh"
+#include "support/diag.hh"
 
 namespace swp
 {
@@ -83,6 +84,37 @@ bool
 machinesFingerprintEquivalent(const Machine &a, const Machine &b)
 {
     return a == b;
+}
+
+bool
+GraphMachineKey::matches(const Ddg &g, const Machine &m,
+                         const char *what) const
+{
+    if (!valid_ || graphFp_ != graphFingerprint(g) ||
+        machineFp_ != machineFingerprint(m)) {
+        return false;
+    }
+    if (kVerifyMemoKeys) {
+        SWP_ASSERT(graph_ && graphsFingerprintEquivalent(g, *graph_), what,
+                   " fingerprint collision: graph '", g.name(),
+                   "' hit an entry built from a different graph");
+        SWP_ASSERT(machine_ && machinesFingerprintEquivalent(m, *machine_),
+                   what, " fingerprint collision: machine '", m.name(),
+                   "' hit an entry built from a different machine");
+    }
+    return true;
+}
+
+void
+GraphMachineKey::bind(const Ddg &g, const Machine &m)
+{
+    graphFp_ = graphFingerprint(g);
+    machineFp_ = machineFingerprint(m);
+    if (kVerifyMemoKeys) {
+        graph_ = g;
+        machine_ = m;
+    }
+    valid_ = true;
 }
 
 } // namespace swp

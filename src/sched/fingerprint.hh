@@ -22,6 +22,7 @@
 #define SWP_SCHED_FINGERPRINT_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 
 #include "ir/ddg.hh"
@@ -87,6 +88,37 @@ bool graphsFingerprintEquivalent(const Ddg &a, const Ddg &b);
 
 /** Field-by-field counterpart of machineFingerprint. */
 bool machinesFingerprintEquivalent(const Machine &a, const Machine &b);
+
+/**
+ * Identity of a single-slot per-graph cache (the scheduler workspace's
+ * recurrence decomposition and HRMS plan): the (graph, machine)
+ * fingerprints of the inputs the slot was built from. Release builds
+ * trust the 64-bit hashes; debug builds keep O(1) copy-on-write copies
+ * of both inputs and verify every hit structurally, so a collision
+ * panics instead of answering for another loop.
+ */
+class GraphMachineKey
+{
+  public:
+    /**
+     * True if the slot is bound to (g, m). `what` names the cache in
+     * the collision panic.
+     */
+    bool matches(const Ddg &g, const Machine &m, const char *what) const;
+
+    /** Bind the slot to (g, m), once its content is rebuilt. */
+    void bind(const Ddg &g, const Machine &m);
+
+    /** Unbind, so a rebuild that panics half-way is never reused. */
+    void clear() { valid_ = false; }
+
+  private:
+    bool valid_ = false;
+    std::uint64_t graphFp_ = 0;
+    std::uint64_t machineFp_ = 0;
+    std::optional<Ddg> graph_;
+    std::optional<Machine> machine_;
+};
 
 } // namespace swp
 

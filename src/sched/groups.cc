@@ -65,6 +65,22 @@ GroupSet::reset(const Ddg &g, const Machine &m)
         groups_[std::size_t(gi)].members.push_back(v);
     }
 
+    // Fused edges per endpoint, so the offset BFS below visits each
+    // fused edge once from either side: linear in the fused edges.
+    fusedBegin_.assign(std::size_t(n) + 1, 0);
+    for (const EdgeId e : fused_) {
+        ++fusedBegin_[std::size_t(g.edge(e).src) + 1];
+        ++fusedBegin_[std::size_t(g.edge(e).dst) + 1];
+    }
+    for (int v = 0; v < n; ++v)
+        fusedBegin_[std::size_t(v) + 1] += fusedBegin_[std::size_t(v)];
+    fusedFill_.assign(fusedBegin_.begin(), fusedBegin_.end() - 1);
+    fusedAdj_.resize(2 * fused_.size());
+    for (const EdgeId e : fused_) {
+        fusedAdj_[std::size_t(fusedFill_[std::size_t(g.edge(e).src)]++)] = e;
+        fusedAdj_[std::size_t(fusedFill_[std::size_t(g.edge(e).dst)]++)] = e;
+    }
+
     // Solve offsets inside each group by propagating fused-edge
     // constraints offset(dst) = offset(src) + latency(src).
     known_.assign(std::size_t(n), 0);
@@ -80,38 +96,26 @@ GroupSet::reset(const Ddg &g, const Machine &m)
         offsetOf_[std::size_t(grp.members[0])] = 0;
         known[std::size_t(grp.members[0])] = true;
         frontier_.assign(1, grp.members[0]);
-        auto &frontier = frontier_;
-        while (!frontier.empty()) {
-            auto &next = next_;
-            next.clear();
-            for (EdgeId e : fused_) {
-                const Edge &edge = g.edge(e);
-                const int lat = fusedDelayOf(g, m, edge);
-                for (NodeId v : frontier) {
-                    if (edge.src == v) {
-                        const int off = offsetOf_[std::size_t(v)] + lat;
-                        if (!known[std::size_t(edge.dst)]) {
-                            known[std::size_t(edge.dst)] = true;
-                            offsetOf_[std::size_t(edge.dst)] = off;
-                            next.push_back(edge.dst);
-                        } else {
-                            SWP_ASSERT(
-                                offsetOf_[std::size_t(edge.dst)] == off,
-                                "inconsistent fused offsets at node ",
-                                g.node(edge.dst).name);
-                        }
-                    } else if (edge.dst == v) {
-                        const int off = offsetOf_[std::size_t(v)] - lat;
-                        if (!known[std::size_t(edge.src)]) {
-                            known[std::size_t(edge.src)] = true;
-                            offsetOf_[std::size_t(edge.src)] = off;
-                            next.push_back(edge.src);
-                        } else {
-                            SWP_ASSERT(
-                                offsetOf_[std::size_t(edge.src)] == off,
-                                "inconsistent fused offsets at node ",
-                                g.node(edge.src).name);
-                        }
+        while (!frontier_.empty()) {
+            next_.clear();
+            for (const NodeId v : frontier_) {
+                for (int i = fusedBegin_[std::size_t(v)];
+                     i < fusedBegin_[std::size_t(v) + 1]; ++i) {
+                    const Edge &edge = g.edge(fusedAdj_[std::size_t(i)]);
+                    const int lat = fusedDelayOf(g, m, edge);
+                    // The edge's other endpoint and the offset it implies.
+                    const bool forward = edge.src == v;
+                    const NodeId w = forward ? edge.dst : edge.src;
+                    const int off =
+                        offsetOf_[std::size_t(v)] + (forward ? lat : -lat);
+                    if (!known[std::size_t(w)]) {
+                        known[std::size_t(w)] = true;
+                        offsetOf_[std::size_t(w)] = off;
+                        next_.push_back(w);
+                    } else {
+                        SWP_ASSERT(offsetOf_[std::size_t(w)] == off,
+                                   "inconsistent fused offsets at node ",
+                                   g.node(w).name);
                     }
                 }
             }

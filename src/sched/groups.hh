@@ -58,7 +58,9 @@ class GroupSet
      * Rebind to a (graph, machine) pair. All storage — the groups,
      * their member/offset vectors, and the union-find/BFS scratch — is
      * recycled, so a workspace-resident GroupSet stops allocating once
-     * it has seen the largest loop of a batch.
+     * it has seen the largest loop of a batch. The offset BFS walks a
+     * per-node fused-edge adjacency, so it is linear in the fused
+     * edges.
      */
     void reset(const Ddg &g, const Machine &m);
 
@@ -85,6 +87,10 @@ class GroupSet
     std::vector<int> parent_, rootGroup_;
     std::vector<char> known_;
     std::vector<EdgeId> fused_;
+    /** Fused edges per endpoint (CSR): node v's are
+        fusedAdj_[fusedBegin_[v], fusedBegin_[v + 1]). */
+    std::vector<int> fusedBegin_, fusedFill_;
+    std::vector<EdgeId> fusedAdj_;
     std::vector<NodeId> frontier_, next_;
     /// @}
 };

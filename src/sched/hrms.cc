@@ -22,14 +22,168 @@ namespace
 constexpr long negInf = schedNegInf;
 constexpr long posInf = schedPosInf;
 
+/** Recurrence components (group indices) with their criticality. */
+using RankedRecurrences = std::vector<std::pair<int, std::vector<int>>>;
+
 /**
- * Scheduling context shared by the ordering and placement phases.
- *
- * All sizable state — the condensed group-graph adjacency, the
- * bit-packed reachability matrices (reach over all edges, its
- * transpose, and zero-distance-only reach0), the priority buffers and
- * the MRT — lives in the scheduler's SchedWorkspace and is cleared,
- * not reallocated, for each probe.
+ * Stable-topologically reorder recurrence components along
+ * zero-distance reachability, keeping criticality order among unrelated
+ * components: if comp A has a zero-distance path into comp B, A must be
+ * placed first. Otherwise a member of A with a placed zero-distance
+ * successor in B faces a fixed gap that no II can widen (carried edges
+ * gain slack with II; zero-distance ones never do). Always makes
+ * progress: a zero-distance cycle between distinct components would be
+ * a zero-distance cycle in the graph, which verifyDdg forbids.
+ */
+void
+orderCompsByZeroDistance(RankedRecurrences &comps, const BitMatrix &reach0)
+{
+    auto reaches0 = [&](const std::vector<int> &from,
+                        const std::vector<int> &to) {
+        for (const int a : from) {
+            for (const int b : to) {
+                if (reach0.test(a, b))
+                    return true;
+            }
+        }
+        return false;
+    };
+
+    RankedRecurrences ordered;
+    std::vector<bool> taken(comps.size(), false);
+    for (std::size_t step = 0; step < comps.size(); ++step) {
+        int pick = -1;
+        for (std::size_t i = 0; i < comps.size() && pick < 0; ++i) {
+            if (taken[i])
+                continue;
+            bool ready = true;
+            for (std::size_t j = 0; j < comps.size(); ++j) {
+                if (j == i || taken[j])
+                    continue;
+                if (reaches0(comps[j].second, comps[i].second)) {
+                    ready = false;
+                    break;
+                }
+            }
+            if (ready)
+                pick = int(i);
+        }
+        SWP_ASSERT(pick >= 0, "zero-distance cycle between recurrences");
+        taken[std::size_t(pick)] = true;
+        ordered.push_back(std::move(comps[std::size_t(pick)]));
+    }
+    comps = std::move(ordered);
+}
+
+/**
+ * Build the II-independent plan of (g, m): complex groups, the condensed
+ * group graph with its deduplicated adjacency (duplicate (a, b) pairs
+ * are filtered by the bit-row mirrors instead of a list scan) and
+ * word-packed reachability, and the recurrences ranked for placement.
+ */
+void
+buildPlan(const Ddg &g, const Machine &m, HrmsPlan &plan)
+{
+    GroupSet &groups = plan.groups;
+    groups.reset(g, m);
+    const int n = groups.numGroups();
+
+    plan.succ.reset(n);
+    plan.succ0.reset(n);
+    plan.predMask.reset(n, n);
+    plan.succMask.reset(n, n);
+    plan.pred0Mask.reset(n, n);
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &edge = g.edge(e);
+        if (!edge.alive)
+            continue;
+        const int a = groups.groupOf(edge.src);
+        const int b = groups.groupOf(edge.dst);
+        if (a == b)
+            continue;
+        if (!plan.succMask.test(a, b)) {
+            plan.succMask.set(a, b);
+            plan.predMask.set(b, a);
+            plan.succ[a].push_back(b);
+        }
+        if (edge.distance == 0 && !plan.pred0Mask.test(b, a)) {
+            plan.pred0Mask.set(b, a);
+            plan.succ0[a].push_back(b);
+        }
+    }
+    transitiveClosure(plan.succ.rows, n, plan.reach, plan.dfsStack);
+
+    // Recurrences, most critical (criticality = RecMII of the
+    // component) first. The SCC decomposition is the shared graph-algo
+    // Tarjan over the condensed adjacency; only recurrence components
+    // are materialized as vectors.
+    const AdjScc scc = stronglyConnectedComponents(plan.succ.rows, n);
+    RankedRecurrences ranked;
+    std::vector<NodeId> nodes;
+    plan.recMii = 1;
+    for (int c = 0; c < scc.numComps(); ++c) {
+        if (!scc.cyclic(c))
+            continue;
+        const int *members = scc.compNodes(c);
+        std::vector<int> comp(members, members + scc.compSize(c));
+        nodes.clear();
+        for (const int gi : comp) {
+            const ComplexGroup &grp = groups.group(gi);
+            nodes.insert(nodes.end(), grp.members.begin(),
+                         grp.members.end());
+        }
+        const int crit = recMiiOfComponent(g, m, nodes);
+        plan.recMii = std::max(plan.recMii, crit);
+        ranked.emplace_back(crit, std::move(comp));
+    }
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [](const auto &a, const auto &b) {
+                         if (a.first != b.first)
+                             return a.first > b.first;
+                         return a.second.size() > b.second.size();
+                     });
+    if (ranked.size() >= 2) {
+        transitiveClosure(plan.succ0.rows, n, plan.reach0, plan.dfsStack);
+        orderCompsByZeroDistance(ranked, plan.reach0);
+    }
+
+    plan.recurrences.resize(ranked.size());
+    for (std::size_t i = 0; i < ranked.size(); ++i)
+        plan.recurrences[i] = std::move(ranked[i].second);
+}
+
+/** The plan of (g, m), rebuilt only when the workspace holds another's. */
+const HrmsPlan &
+planFor(const Ddg &g, const Machine &m, HrmsPlan &plan)
+{
+    if (!plan.key.matches(g, m, "HRMS plan")) {
+        plan.key.clear();
+        buildPlan(g, m, plan);
+        plan.key.bind(g, m);
+    }
+    return plan;
+}
+
+/**
+ * The recurrence check of a probe. A dependence cycle through two or
+ * more groups lies in one recurrence of the plan, so ii >= the plan's
+ * RecMII fits it; a cycle inside one group (a self-loop included) is
+ * checked edge by edge by groupsInternallyFeasible, which also rejects
+ * groups whose fixed offsets cannot meet their internal edges.
+ */
+bool
+iiFitsPlan(const Ddg &g, const Machine &m, const HrmsPlan &plan, int ii)
+{
+    return ii >= plan.recMii &&
+           groupsInternallyFeasible(g, m, plan.groups, ii);
+}
+
+/**
+ * Scheduling context shared by the ordering and placement phases of
+ * one probe: the graph's plan (reused across probes) plus the
+ * anchor-relative group priorities at this II. The priority buffers,
+ * ordering masks and MRT live in the scheduler's SchedWorkspace and are
+ * cleared, not reallocated, for each probe.
  */
 struct HrmsContext
 {
@@ -37,21 +191,20 @@ struct HrmsContext
     const Machine &m;
     const int ii;
     SchedWorkspace &ws;
-    GroupSet &groups;  ///< ws.groups, rebuilt for this probe.
-    int n = 0;         ///< Number of complex groups.
+    const HrmsPlan &plan;
+    const GroupSet &groups;  ///< plan.groups.
+    const int n;             ///< Number of complex groups.
 
     HrmsContext(const Ddg &graph, const Machine &mach, int interval,
-                SchedWorkspace &workspace)
+                SchedWorkspace &workspace, const HrmsPlan &p)
         : g(graph),
           m(mach),
           ii(interval),
           ws(workspace),
-          groups(workspace.groups)
+          plan(p),
+          groups(p.groups),
+          n(p.groups.numGroups())
     {
-        groups.reset(graph, mach);
-        n = groups.numGroups();
-        buildGroupGraph();
-
         ws.prio.compute(g, m, ii);
         ws.gAsap.assign(std::size_t(n), negInf);
         ws.gHeight.assign(std::size_t(n), negInf);
@@ -64,67 +217,6 @@ struct HrmsContext
             ws.gHeight[std::size_t(gi)] =
                 std::max(ws.gHeight[std::size_t(gi)],
                          ws.prio.height[std::size_t(v)] + off);
-        }
-    }
-
-  private:
-    /**
-     * Build the condensed graph over complex groups: deduplicated
-     * adjacency (duplicate (a, b) pairs are filtered by a bit matrix
-     * instead of a linear scan), plus transitive reachability as
-     * word-packed bit rows.
-     */
-    void
-    buildGroupGraph()
-    {
-        ws.succ.reset(n);
-        ws.pred.reset(n);
-        ws.succ0.reset(n);
-        ws.pred0.reset(n);
-        ws.predMask.reset(n, n);
-        ws.succMask.reset(n, n);
-        ws.pred0Mask.reset(n, n);
-        ws.edgeSeen.reset(n, n);
-        ws.edgeSeen0.reset(n, n);
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            const Edge &edge = g.edge(e);
-            if (!edge.alive)
-                continue;
-            const int a = groups.groupOf(edge.src);
-            const int b = groups.groupOf(edge.dst);
-            if (a == b)
-                continue;
-            if (!ws.edgeSeen.test(a, b)) {
-                ws.edgeSeen.set(a, b);
-                ws.succ[a].push_back(b);
-                ws.pred[b].push_back(a);
-                ws.succMask.set(a, b);
-                ws.predMask.set(b, a);
-            }
-            if (edge.distance == 0 && !ws.edgeSeen0.test(a, b)) {
-                ws.edgeSeen0.set(a, b);
-                ws.pred0[b].push_back(a);
-                ws.succ0[a].push_back(b);
-                ws.pred0Mask.set(b, a);
-            }
-        }
-
-        transitiveClosure(ws.succ.rows, n, ws.reach, ws.dfsStack);
-        transitiveClosure(ws.succ0.rows, n, ws.reach0, ws.dfsStack);
-
-        // Transpose of reach, for "is v reachable from any of set S"
-        // queries (a column of reach is a row of the transpose).
-        ws.reachT.reset(n, n);
-        for (int s = 0; s < n; ++s) {
-            const std::uint64_t *row = ws.reach.row(s);
-            for (int w = 0; w < ws.reach.wordsPerRow(); ++w) {
-                std::uint64_t bits = row[w];
-                while (bits) {
-                    const int v = w * 64 + countTrailingZeros(bits);
-                    bits &= bits - 1;
-                    ws.reachT.set(v, s);
-                }
-            }
         }
     }
 };
@@ -157,57 +249,31 @@ struct HrmsContext
 class Ordering
 {
   public:
-    explicit Ordering(HrmsContext &ctx) : ctx_(ctx), ws_(ctx.ws) {}
+    explicit Ordering(HrmsContext &ctx)
+        : ctx_(ctx), ws_(ctx.ws), plan_(ctx.plan)
+    {
+    }
 
     const std::vector<int> &
     run()
     {
         const int n = ctx_.n;
         ws_.orderedMask.reset(n);
+        ws_.fromOrdered.reset(n);
         ws_.order.clear();
         ws_.order.reserve(std::size_t(n));
 
-        // Recurrences first, most critical first (criticality = RecMII
-        // of the component). The SCC decomposition is the shared
-        // graph-algo Tarjan over the condensed adjacency; only
-        // recurrence components are materialized as vectors.
-        const AdjScc scc = stronglyConnectedComponents(ws_.succ.rows, n);
-        std::vector<std::pair<long, std::vector<int>>> recurrences;
-        for (int c = 0; c < scc.numComps(); ++c) {
-            const int *members = scc.compNodes(c);
-            if (!scc.cyclic(c))
-                continue;
-            std::vector<int> comp(members, members + scc.compSize(c));
-            std::vector<NodeId> nodes;
-            for (const int gi : comp) {
-                const auto &grp = ctx_.groups.group(gi);
-                nodes.insert(nodes.end(), grp.members.begin(),
-                             grp.members.end());
-            }
-            const long crit = recMiiOfComponent(ctx_.g, ctx_.m, nodes);
-            recurrences.emplace_back(crit, std::move(comp));
-        }
-        std::stable_sort(recurrences.begin(), recurrences.end(),
-                         [](const auto &a, const auto &b) {
-                             if (a.first != b.first)
-                                 return a.first > b.first;
-                             return a.second.size() > b.second.size();
-                         });
-
-        // Constrain the criticality order to the topological order of
-        // zero-distance reachability between components: if comp A has
-        // a zero-distance path into comp B, A must be placed first.
-        // Otherwise a member of A with a placed zero-distance successor
-        // in B faces a fixed gap that no II can widen (carried edges
-        // gain slack with II; zero-distance ones never do).
-        orderCompsByZeroDistance(recurrences);
-
-        for (const auto &[crit, comp] : recurrences) {
-            (void)crit;
-            // Membership mask of this recurrence, for the cone tests.
+        // Recurrences first, in the plan's order: most critical first,
+        // constrained to zero-distance reachability between them.
+        for (const std::vector<int> &comp : plan_.recurrences) {
+            // Membership and reach masks of this recurrence, for the
+            // cone tests.
             ws_.setMask.reset(n);
-            for (const int gi : comp)
+            ws_.fromSet.reset(n);
+            for (const int gi : comp) {
                 ws_.setMask.set(gi);
+                plan_.reach.orRowInto(gi, ws_.fromSet.words());
+            }
             if (!ws_.order.empty()) {
                 // Paths ordered-set -> recurrence: only-preds nodes.
                 std::vector<int> forward, backward;
@@ -282,89 +348,40 @@ class Ordering
     }
 
   private:
-    /** Some ordered group reaches v (a column of reach = a row of the
-        transpose, intersected with the ordered mask — word-parallel). */
+    /** Some ordered group reaches v. */
     bool
     reachesFromOrdered(int v) const
     {
-        return ws_.reachT.intersects(v, ws_.orderedMask.words());
+        return ws_.fromOrdered.test(v);
     }
 
-    /** v reaches some ordered group. */
+    /** v reaches some ordered group (word-parallel row test). */
     bool
     reachesToOrdered(int v) const
     {
-        return ws_.reach.intersects(v, ws_.orderedMask.words());
+        return plan_.reach.intersects(v, ws_.orderedMask.words());
     }
 
     /** Some member of the current recurrence (setMask) reaches v. */
     bool
     reachableFromSet(int v) const
     {
-        return ws_.reachT.intersects(v, ws_.setMask.words());
+        return ws_.fromSet.test(v);
     }
 
     /** v reaches some member of the current recurrence (setMask). */
     bool
     reachesIntoSet(int v) const
     {
-        return ws_.reach.intersects(v, ws_.setMask.words());
+        return plan_.reach.intersects(v, ws_.setMask.words());
     }
 
     void
     append(int v)
     {
         ws_.orderedMask.set(v);
+        plan_.reach.orRowInto(v, ws_.fromOrdered.words());
         ws_.order.push_back(v);
-    }
-
-    /**
-     * Stable-topologically reorder recurrence components along
-     * zero-distance reachability, keeping criticality order among
-     * unrelated components. Always makes progress: a zero-distance
-     * cycle between distinct components would be a zero-distance cycle
-     * in the graph, which verifyDdg forbids.
-     */
-    void
-    orderCompsByZeroDistance(
-        std::vector<std::pair<long, std::vector<int>>> &comps) const
-    {
-        auto reaches0 = [&](const std::vector<int> &from,
-                            const std::vector<int> &to) {
-            for (const int a : from) {
-                for (const int b : to) {
-                    if (ws_.reach0.test(a, b))
-                        return true;
-                }
-            }
-            return false;
-        };
-
-        std::vector<std::pair<long, std::vector<int>>> ordered;
-        std::vector<bool> taken(comps.size(), false);
-        for (std::size_t step = 0; step < comps.size(); ++step) {
-            int pick = -1;
-            for (std::size_t i = 0; i < comps.size() && pick < 0; ++i) {
-                if (taken[i])
-                    continue;
-                bool ready = true;
-                for (std::size_t j = 0; j < comps.size(); ++j) {
-                    if (j == i || taken[j])
-                        continue;
-                    if (reaches0(comps[j].second, comps[i].second)) {
-                        ready = false;
-                        break;
-                    }
-                }
-                if (ready)
-                    pick = int(i);
-            }
-            SWP_ASSERT(pick >= 0,
-                       "zero-distance cycle between recurrences");
-            taken[std::size_t(pick)] = true;
-            ordered.push_back(std::move(comps[std::size_t(pick)]));
-        }
-        comps = std::move(ordered);
     }
 
     /** Critical groups first: ascending ASAP, descending height. */
@@ -402,7 +419,7 @@ class Ordering
             for (const int v : set) {
                 if (!ws_.remainMask.test(v))
                     continue;
-                if (!ws_.pred0Mask.intersects(v, ws_.remainMask.words())) {
+                if (!plan_.pred0Mask.intersects(v, ws_.remainMask.words())) {
                     pick = v;
                     break;
                 }
@@ -431,7 +448,7 @@ class Ordering
             for (const int v : set) {
                 if (!ws_.remainMask.test(v))
                     continue;
-                if (!ws_.predMask.intersects(v, ws_.remainMask.words())) {
+                if (!plan_.predMask.intersects(v, ws_.remainMask.words())) {
                     pick = v;
                     break;
                 }
@@ -473,7 +490,7 @@ class Ordering
             for (const int v : set) {
                 if (!ws_.remainMask.test(v))
                     continue;
-                if (!ws_.succMask.intersects(v, ws_.remainMask.words())) {
+                if (!plan_.succMask.intersects(v, ws_.remainMask.words())) {
                     pick = v;
                     break;
                 }
@@ -493,6 +510,7 @@ class Ordering
 
     HrmsContext &ctx_;
     SchedWorkspace &ws_;
+    const HrmsPlan &plan_;
 };
 
 /** The placement phase. */
@@ -613,13 +631,11 @@ HrmsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 {
     if (g.numNodes() == 0)
         return std::nullopt;
-    if (!iiFeasibleForRecurrences(g, m, ii, ws_.recurrences))
+    const HrmsPlan &plan = planFor(g, m, ws_.hrms);
+    if (!iiFitsPlan(g, m, plan, ii))
         return std::nullopt;
 
-    HrmsContext ctx(g, m, ii, ws_);
-    if (!groupsInternallyFeasible(g, m, ctx.groups, ii))
-        return std::nullopt;
-
+    HrmsContext ctx(g, m, ii, ws_, plan);
     Ordering ordering(ctx);
     const std::vector<int> &order = ordering.run();
     SWP_ASSERT(int(order.size()) == ctx.groups.numGroups(),
@@ -635,10 +651,17 @@ HrmsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
     return sched;
 }
 
+bool
+HrmsScheduler::passesRecurrenceCheckForTest(const Ddg &g, const Machine &m,
+                                            int ii)
+{
+    return iiFitsPlan(g, m, planFor(g, m, ws_.hrms), ii);
+}
+
 std::vector<int>
 HrmsScheduler::orderingForTest(const Ddg &g, const Machine &m, int ii)
 {
-    HrmsContext ctx(g, m, ii, ws_);
+    HrmsContext ctx(g, m, ii, ws_, planFor(g, m, ws_.hrms));
     Ordering ordering(ctx);
     return ordering.run();
 }

@@ -1,7 +1,6 @@
 #include "sched/mii.hh"
 
 #include <algorithm>
-#include <optional>
 #include <vector>
 
 #include "ir/graph_algo.hh"
@@ -224,18 +223,12 @@ iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii)
     return true;
 }
 
-/** The cached decomposition plus its Bellman-Ford scratch. The Ddg and
-    Machine copies (O(1), copy-on-write) verify reuses against
-    fingerprint collisions in debug builds. */
+/** The cached decomposition plus its Bellman-Ford scratch. */
 struct RecurrenceCache::Impl
 {
-    bool valid = false;
-    std::uint64_t graphFp = 0;
-    std::uint64_t machineFp = 0;
+    GraphMachineKey key;
     std::vector<CyclicRegion> regions;
     std::vector<long> dist;
-    std::optional<Ddg> graph;
-    std::optional<Machine> machine;
 };
 
 RecurrenceCache::RecurrenceCache() = default;
@@ -252,27 +245,10 @@ iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii,
         cache.impl_ = std::make_unique<RecurrenceCache::Impl>();
     RecurrenceCache::Impl &c = *cache.impl_;
 
-    const std::uint64_t gfp = graphFingerprint(g);
-    const std::uint64_t mfp = machineFingerprint(m);
-    if (!c.valid || c.graphFp != gfp || c.machineFp != mfp) {
+    if (!c.key.matches(g, m, "recurrence cache")) {
+        c.key.clear();
         c.regions = cyclicRegions(g, m);
-        c.graphFp = gfp;
-        c.machineFp = mfp;
-        c.valid = true;
-        if (kVerifyMemoKeys) {
-            c.graph = g;
-            c.machine = m;
-        }
-    } else if (kVerifyMemoKeys) {
-        SWP_ASSERT(c.graph && graphsFingerprintEquivalent(g, *c.graph),
-                   "recurrence cache fingerprint collision: graph '",
-                   g.name(),
-                   "' hit a decomposition of a different graph");
-        SWP_ASSERT(c.machine &&
-                       machinesFingerprintEquivalent(m, *c.machine),
-                   "recurrence cache fingerprint collision: machine '",
-                   m.name(),
-                   "' hit a decomposition of a different machine");
+        c.key.bind(g, m);
     }
 
     for (const CyclicRegion &r : c.regions) {

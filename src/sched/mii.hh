@@ -47,10 +47,10 @@ bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii);
  * Cached cyclic-SCC decomposition of one (graph, machine) pair, keyed
  * by the structural fingerprints, so consecutive feasibility probes of
  * the same loop — an II search issues many — pay only the
- * component-local Bellman-Ford sweeps, not the decomposition. The
- * schedulers keep one in their workspace. Debug builds verify every
- * reuse structurally, so a fingerprint collision panics instead of
- * answering for another loop.
+ * component-local Bellman-Ford sweeps, not the decomposition. IMS keeps
+ * one in its workspace (HRMS checks recurrences through its per-graph
+ * plan instead). Debug builds verify every reuse structurally, so a
+ * fingerprint collision panics instead of answering for another loop.
  */
 class RecurrenceCache
 {

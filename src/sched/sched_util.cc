@@ -47,8 +47,8 @@ groupsInternallyFeasible(const Ddg &g, const Machine &m,
             continue;
         if (groups.groupOf(edge.src) != groups.groupOf(edge.dst))
             continue;
-        if (edge.src == edge.dst)
-            continue;
+        // A self-loop has gap 0, so this is its recurrence bound
+        // ceil(lat / distance) <= II.
         const int lat = m.latency(g.node(edge.src).op);
         const int gap =
             groups.offsetOf(edge.dst) - groups.offsetOf(edge.src);

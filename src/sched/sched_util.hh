@@ -46,7 +46,11 @@ struct NodePriorities
  * Check dependence constraints between members of the same complex
  * group, whose relative offsets are fixed: every internal edge must be
  * satisfiable at this II, and fused edges must sit at their exact
- * offset. Self edges are excluded (covered by RecMII feasibility).
+ * offset. Self-loops count as group-internal edges with gap 0, so a
+ * self-recurrence needing more than II cycles fails here. Together
+ * with II >= the RecMII of every cyclic component of the condensed
+ * group graph this is the full recurrence check: every dependence
+ * cycle lies inside one group or inside one such component.
  */
 bool groupsInternallyFeasible(const Ddg &g, const Machine &m,
                               const GroupSet &groups, int ii);

@@ -7,18 +7,20 @@
  * best-of-all's binary search), and the batch driver reuses one
  * scheduler per worker thread across all its jobs. SchedWorkspace holds
  * every sizable scratch structure those probes need — the MRT, the
- * ASAP/height priority buffers, the HRMS group-graph adjacency and
- * bit-packed reachability matrices, the ordering and eviction buffers —
- * so a probe clears them (assign / reset, which recycle capacity)
- * instead of reallocating them. With one exception the state carries no
- * semantic information across probes — every probe rebuilds its content
- * from scratch, so schedules are bit-identical to a freshly constructed
- * scheduler's. The exception is the RecurrenceCache, which reuses the
- * cyclic-SCC decomposition across probes keyed by the structural
- * (graph, machine) fingerprints: like the driver's memos it trusts the
- * 64-bit hash in release builds and structurally verifies every reuse
- * in debug builds (a collision panics instead of answering for another
- * loop).
+ * ASAP/height priority buffers, the ordering and eviction buffers — so
+ * a probe clears them (assign / reset, which recycle capacity) instead
+ * of reallocating them. Scratch carries no semantic information across
+ * probes.
+ *
+ * Two single-slot caches do, each keyed by the structural (graph,
+ * machine) fingerprints through a GraphMachineKey (trusted in release
+ * builds, verified structurally on every reuse in debug builds):
+ *  - IMS's RecurrenceCache, the cyclic-SCC decomposition its
+ *    recurrence check reuses across same-loop II probes;
+ *  - HRMS's HrmsPlan, everything its pre-ordering and recurrence check
+ *    read that does not depend on II.
+ * Both hold only what their key determines, so schedules stay
+ * bit-identical to a freshly constructed scheduler's.
  */
 
 #ifndef SWP_SCHED_WORKSPACE_HH
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "ir/ddg.hh"
+#include "sched/fingerprint.hh"
 #include "sched/groups.hh"
 #include "sched/mii.hh"
 #include "sched/mrt.hh"
@@ -58,6 +61,46 @@ struct ScratchAdj
     }
 };
 
+/**
+ * HRMS's per-graph plan: the complex groups, the condensed group graph
+ * and the ranked recurrences. None of it depends on II, so the first
+ * probe of a (graph, machine) pair builds it and the probes that
+ * follow (an II search, best-of-all's binary search) reuse it. The
+ * II-dependent rest — priorities, the cone ordering, placement — is
+ * computed per probe.
+ */
+struct HrmsPlan
+{
+    /** The (graph, machine) pair the content below was built for. */
+    GraphMachineKey key;
+    GroupSet groups;
+
+    /** @name Condensed group graph (no self-edges) */
+    /// @{
+    /** Deduplicated successor lists: over all edges / zero-distance
+        edges only. */
+    ScratchAdj succ, succ0;
+    /** Bit-row adjacency, so the absorb loops test readiness
+        word-parallel instead of scanning lists; succMask / pred0Mask
+        also deduplicate succ / succ0 while they are built. */
+    BitMatrix predMask, succMask, pred0Mask;
+    /** Transitive reachability over succ. */
+    BitMatrix reach;
+    /** Zero-distance reachability over succ0; built only when there
+        are at least two recurrences to order. */
+    BitMatrix reach0;
+    std::vector<int> dfsStack;
+    /// @}
+
+    /** Cyclic components of the condensed graph (group indices), in
+        the order the pre-ordering places them: most critical first,
+        constrained to zero-distance reachability. */
+    std::vector<std::vector<int>> recurrences;
+    /** Largest recurrence criticality: ii < recMii has a positive
+        cycle through two or more groups. */
+    int recMii = 1;
+};
+
 /** Per-scheduler scratch buffers; cleared, not reallocated, per probe. */
 struct SchedWorkspace
 {
@@ -65,38 +108,28 @@ struct SchedWorkspace
     /// @{
     Mrt mrt;
     NodePriorities prio;
-    /** Complex-group partition, rebuilt per probe on recycled storage. */
-    GroupSet groups;
     /** Anchor-relative group ASAP / height. */
     std::vector<long> gAsap, gHeight;
-    /** Cyclic-SCC decomposition, reused across same-loop II probes. */
-    RecurrenceCache recurrences;
     /// @}
 
-    /** @name HRMS condensed group graph */
+    /** @name HRMS */
     /// @{
-    ScratchAdj succ, pred, succ0, pred0;
-    /** Bit-row mirrors of pred / succ / pred0, so the absorb loops test
-        readiness word-parallel instead of scanning adjacency lists. */
-    BitMatrix predMask, succMask, pred0Mask;
-    /** Group-pair dedup while building the adjacency (all distances /
-        zero-distance only). */
-    BitMatrix edgeSeen, edgeSeen0;
-    /** Transitive reachability over succ / its transpose / succ0. */
-    BitMatrix reach, reachT, reach0;
-    std::vector<int> dfsStack;
-    /// @}
-
-    /** @name HRMS pre-ordering */
-    /// @{
+    HrmsPlan hrms;
     std::vector<int> order;
     BitRow orderedMask, setMask;
+    /** Groups reachable from the ordered set / the current recurrence:
+        OR-ed reach rows, grown as groups are appended. */
+    BitRow fromOrdered, fromSet;
     /** Absorb-set members not yet appended to the order. */
     BitRow remainMask;
     /// @}
 
-    /** @name IMS placement loop */
+    /** @name IMS */
     /// @{
+    /** Complex-group partition, rebuilt per probe on recycled storage. */
+    GroupSet groups;
+    /** Cyclic-SCC decomposition, reused across same-loop II probes. */
+    RecurrenceCache recurrences;
     std::vector<char> placed;
     std::vector<long> lastTime;
     std::vector<NodeId> blockers;

@@ -12,11 +12,14 @@
 #include "ir/builder.hh"
 #include "liferange/lifetimes.hh"
 #include "machine/machine.hh"
+#include "sched/fingerprint.hh"
 #include "sched/groups.hh"
 #include "sched/hrms.hh"
 #include "sched/ii_search.hh"
 #include "sched/mii.hh"
+#include "sched/sched_util.hh"
 #include "spill/insert.hh"
+#include "spill_rounds.hh"
 #include "workload/paper_loops.hh"
 #include "workload/suitegen.hh"
 
@@ -281,13 +284,31 @@ TEST(Hrms, ZeroDistanceEdgeBetweenRecurrences)
     EXPECT_TRUE(validateSchedule(g, m, *s, &why)) << why;
 }
 
+/** Probe `reused` and a fresh scheduler at ii; both must agree. */
+void
+expectReusedMatchesFresh(HrmsScheduler &reused, const Ddg &g,
+                         const Machine &m, int ii)
+{
+    HrmsScheduler fresh;
+    const auto a = reused.scheduleAt(g, m, ii);
+    const auto b = fresh.scheduleAt(g, m, ii);
+    ASSERT_EQ(a.has_value(), b.has_value())
+        << g.name() << " on " << m.name() << " ii=" << ii;
+    if (!a)
+        return;
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+        ASSERT_EQ(a->time(v), b->time(v)) << g.name() << " ii=" << ii;
+        ASSERT_EQ(a->unit(v), b->unit(v)) << g.name() << " ii=" << ii;
+    }
+}
+
 TEST(Hrms, ReusedSchedulerMatchesFreshSchedulerAcrossLoops)
 {
-    // The workspace (MRT storage, priority buffers, reach matrices,
-    // recurrence cache) is reused across probes; interleaving loops,
+    // The workspace (MRT storage, priority buffers, ordering masks) and
+    // the per-graph plan are reused across probes; interleaving loops,
     // machines and IIs through one scheduler object must yield exactly
     // the schedules a fresh scheduler produces — stale workspace state
-    // anywhere would diverge here.
+    // or a plan kept for the wrong graph would diverge here.
     SuiteParams params;
     params.numLoops = 10;
     const std::vector<SuiteLoop> suite = generateSuite(params);
@@ -296,22 +317,159 @@ TEST(Hrms, ReusedSchedulerMatchesFreshSchedulerAcrossLoops)
     for (const SuiteLoop &loop : suite) {
         for (const Machine &m : machines) {
             const int lower = mii(loop.graph, m);
-            for (int ii = std::max(1, lower - 1); ii < lower + 3; ++ii) {
-                HrmsScheduler fresh;
-                const auto a = reused.scheduleAt(loop.graph, m, ii);
-                const auto b = fresh.scheduleAt(loop.graph, m, ii);
-                ASSERT_EQ(a.has_value(), b.has_value())
-                    << loop.graph.name() << " on " << m.name()
-                    << " ii=" << ii;
-                if (!a)
-                    continue;
-                for (NodeId v = 0; v < loop.graph.numNodes(); ++v) {
-                    ASSERT_EQ(a->time(v), b->time(v));
-                    ASSERT_EQ(a->unit(v), b->unit(v));
-                }
+            for (int ii = std::max(1, lower - 1); ii < lower + 3; ++ii)
+                expectReusedMatchesFresh(reused, loop.graph, m, ii);
+        }
+    }
+
+    // Spill rounds: each round's graph differs from the last by a few
+    // spill operations and fused edges, so a plan reused across rounds
+    // would show. Each graph is probed first on a machine with other
+    // latencies (so other fused offsets and criticalities), then on the
+    // spill run's machine: the first of those probes must rebuild the
+    // plan, the later ones reuse it.
+    const Machine m = Machine::p2l4();
+    const Machine other = Machine::p2l6();
+    forEachSpillRoundGraph(
+        m, true,
+        [&](const Ddg &g) {
+            const int lower = mii(g, m);
+            expectReusedMatchesFresh(reused, g, other, mii(g, other));
+            for (int ii = std::max(1, lower - 1); ii < lower + 3; ++ii)
+                expectReusedMatchesFresh(reused, g, m, ii);
+        },
+        300);
+}
+
+TEST(Hrms, PinnedOrderingIsUnchanged)
+{
+    // The pre-ordering of every pinned loop on the four presets at the
+    // first four IIs from MII, folded in order. The constant was
+    // captured before the II-independent analysis moved into the
+    // per-graph plan (when every probe rebuilt it, with a transposed
+    // reachability matrix); any change to the ordering moves it.
+    const Machine machines[] = {Machine::p1l4(), Machine::p2l4(),
+                                Machine::p2l6(),
+                                Machine::universal("u4", 4, 2)};
+    HrmsScheduler hrms;
+    Fingerprint fp;
+    for (const SuiteLoop &loop : generateSuite(SuiteParams{})) {
+        for (const Machine &m : machines) {
+            const int lower = mii(loop.graph, m);
+            for (int ii = lower; ii <= lower + 3; ++ii) {
+                const std::vector<int> order =
+                    hrms.orderingForTest(loop.graph, m, ii);
+                fp.mix(std::uint64_t(order.size()));
+                for (const int gi : order)
+                    fp.mix(std::uint64_t(gi));
             }
         }
     }
+    EXPECT_EQ(fp.value(), 0x56038f92c41f5e67ull);
+}
+
+/**
+ * HRMS's recurrence check must reject exactly the IIs the node-level
+ * check (iiFeasibleForRecurrences) rejects, plus those at which a
+ * complex group's fixed offsets cannot meet its internal edges, at
+ * every II from 1 to RecMII + 2.
+ */
+void
+expectRecurrenceCheckMatches(HrmsScheduler &hrms, const Ddg &g,
+                             const Machine &m, RecurrenceCache &cache)
+{
+    const GroupSet groups(g, m);
+    const int top = recMii(g, m) + 2;
+    for (int ii = 1; ii <= top; ++ii) {
+        const bool recurrencesFit =
+            iiFeasibleForRecurrences(g, m, ii, cache);
+        ASSERT_EQ(hrms.passesRecurrenceCheckForTest(g, m, ii),
+                  recurrencesFit &&
+                      groupsInternallyFeasible(g, m, groups, ii))
+            << g.name() << " on " << m.name() << " ii=" << ii;
+        if (!recurrencesFit) {
+            ASSERT_FALSE(hrms.scheduleAt(g, m, ii).has_value())
+                << g.name() << " on " << m.name() << " ii=" << ii;
+        }
+    }
+}
+
+TEST(Hrms, RecurrenceCheckMatchesNodeLevelCheck)
+{
+    HrmsScheduler hrms;
+    RecurrenceCache cache;
+    const Machine machines[] = {Machine::p1l4(), Machine::p2l4(),
+                                Machine::p2l6(),
+                                Machine::universal("u4", 4, 2)};
+    for (const SuiteLoop &loop : generateSuite(SuiteParams{})) {
+        for (const Machine &m : machines)
+            expectRecurrenceCheckMatches(hrms, loop.graph, m, cache);
+    }
+    const Machine m = Machine::p2l4();
+    forEachSpillRoundGraph(m, true, [&](const Ddg &g) {
+        expectRecurrenceCheckMatches(hrms, g, m, cache);
+    });
+}
+
+TEST(Hrms, RejectsSelfLoopOnFusedGroupMember)
+{
+    // A spill load fused to a multiply that accumulates into itself:
+    // the group {ld, mul} is one node of the condensed graph, which has
+    // no cycle, so only the group-internal check sees the self-loop.
+    DdgBuilder b("fusedself");
+    const NodeId ld = b.load("Ls");
+    const NodeId mul = b.mul("acc");
+    const NodeId st = b.store("st");
+    b.graph().addEdge(ld, mul, DepKind::RegFlow, 0, true);
+    b.flow(mul, mul, 1);
+    b.flow(mul, st);
+    const Ddg g = b.take();
+    const Machine m = Machine::p2l4();
+    const int lat = m.latency(Opcode::Mul);
+    ASSERT_EQ(recMii(g, m), lat);
+
+    HrmsScheduler hrms;
+    RecurrenceCache cache;
+    expectRecurrenceCheckMatches(hrms, g, m, cache);
+    for (int ii = 1; ii < lat; ++ii) {
+        EXPECT_FALSE(hrms.passesRecurrenceCheckForTest(g, m, ii));
+        EXPECT_FALSE(hrms.scheduleAt(g, m, ii).has_value());
+    }
+    const auto s = hrms.scheduleAt(g, m, lat);
+    ASSERT_TRUE(s.has_value());
+    std::string why;
+    EXPECT_TRUE(validateSchedule(g, m, *s, &why)) << why;
+}
+
+TEST(Hrms, RecurrenceCheckOnRecurrencesJoinedByZeroDistancePath)
+{
+    // Two recurrences of different criticality, joined by a
+    // zero-distance path through a node outside both.
+    DdgBuilder b("joined");
+    const NodeId a1 = b.mul("a1");
+    const NodeId a2 = b.add("a2");
+    b.flow(a1, a2);
+    b.flow(a2, a1, 1);
+    const NodeId mid = b.add("mid");
+    b.flow(a2, mid);
+    const NodeId b1 = b.add("b1");
+    const NodeId b2 = b.add("b2");
+    b.flow(mid, b1);
+    b.flow(b1, b2);
+    b.flow(b2, b1, 3);
+    const NodeId st = b.store("st");
+    b.flow(b2, st);
+    const Ddg g = b.take();
+    const Machine m = Machine::p2l4();
+    ASSERT_GT(recMii(g, m), 1);
+
+    HrmsScheduler hrms;
+    RecurrenceCache cache;
+    expectRecurrenceCheckMatches(hrms, g, m, cache);
+    const auto s = hrms.scheduleAt(g, m, mii(g, m));
+    ASSERT_TRUE(s.has_value());
+    std::string why;
+    EXPECT_TRUE(validateSchedule(g, m, *s, &why)) << why;
 }
 
 TEST(Hrms, EveryScheduleValidatesOnSuiteSample)
