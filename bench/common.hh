@@ -41,10 +41,11 @@ namespace swp::benchutil
  *   --threads <n>    evaluation worker threads (default 1; 0 or "auto"
  *                    = all hardware threads). Results are deterministic:
  *                    output is byte-identical at any thread count.
- *   --memo <0|1>     schedule memoization (default 1). Results are
- *                    byte-identical either way; 0 re-schedules every
- *                    (graph, machine, II) probe, for measuring the
- *                    memo's effect and for CI's determinism diff.
+ *   --memo <0|1>     schedule and allocation memoization (default
+ *                    1). Results are byte-identical either way; 0
+ *                    re-schedules every (graph, machine, II) probe and
+ *                    re-allocates every schedule, for measuring the
+ *                    memos' effect and for CI's determinism diff.
  *   --shard <i/N>    evaluate only shard i of N of every grid
  *                    (0-based; grid job j belongs to shard j mod N).
  *                    Each shard's tables and totals cover its own

@@ -4,8 +4,9 @@
  * parameterized by loop size: MII computation, HRMS and IMS scheduling
  * at MII (HRMS also on a fresh graph per probe), rotating register
  * allocation, full constrained-pipeline runs
- * (iterative spill and increase-II), generation of the pinned suite,
- * and the cycle-accurate simulator. These time individual layers
+ * (iterative spill and increase-II), generation of the pinned suite, a
+ * fixed slice of the paper grid through a fresh batch runner, and the
+ * cycle-accurate simulator. These time individual layers
  * (google-benchmark's adaptive iteration applies), complementing the
  * figure-level harnesses that report one-shot experiment output.
  */
@@ -257,6 +258,51 @@ BM_SuiteRunnerBatch(benchmark::State &state)
                    benchutil::shardSuffix());
 }
 BENCHMARK(BM_SuiteRunnerBatch)->Unit(benchmark::kMillisecond)->Iterations(1);
+
+void
+BM_SuiteRunnerGridSlice(benchmark::State &state)
+{
+    // The paper's Table 1 / Figure 9 cross-product on a fixed slice:
+    // the first 128 pinned loops x {ideal, {increase-II, spill,
+    // best-of-all} x {64, 32} registers}, 896 jobs, through a fresh
+    // one-thread runner per iteration, so every memo starts cold and
+    // only the grid's own repeats hit. The strategies mostly reach the
+    // same schedules, so this is where the allocation memo pays. Ignores
+    // --loops/--seed/--threads so the number tracks one fixed workload.
+    static const std::vector<SuiteLoop> slice = [] {
+        const SuiteParams params;
+        std::vector<SuiteLoop> loops;
+        for (int i = 0; i < 128; ++i)
+            loops.push_back(generateSuiteLoop(params, i));
+        return loops;
+    }();
+    const Machine m = benchutil::benchMachine();
+    std::vector<BatchJob> jobs;
+    for (std::size_t i = 0; i < slice.size(); ++i) {
+        BatchJob ideal;
+        ideal.loop = int(i);
+        ideal.ideal = true;
+        jobs.push_back(ideal);
+        for (const Strategy s : {Strategy::IncreaseII, Strategy::Spill,
+                                 Strategy::BestOfAll}) {
+            for (const int registers : {64, 32}) {
+                BatchJob job;
+                job.loop = int(i);
+                job.strategy = s;
+                job.options.registers = registers;
+                job.options.multiSelect = s != Strategy::IncreaseII;
+                job.options.reuseLastIi = s != Strategy::IncreaseII;
+                jobs.push_back(job);
+            }
+        }
+    }
+    for (auto _ : state) {
+        SuiteRunner runner(1);
+        benchmark::DoNotOptimize(runner.run(slice, m, jobs));
+    }
+    state.SetItemsProcessed(state.iterations() * long(jobs.size()));
+}
+BENCHMARK(BM_SuiteRunnerGridSlice)->Unit(benchmark::kMillisecond);
 
 void
 BM_Simulator(benchmark::State &state)

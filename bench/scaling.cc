@@ -7,10 +7,12 @@
  *
  * Every benchmark iteration re-runs the identical jobs against a
  * runner whose memos were warmed by one untimed pass, so the
- * scheduling probes are memo hits. Register allocation, spilling and
- * verification are not memoized and still run in every job, so the
- * rows measure whole-job throughput per thread count, not memo
- * lookups; micro_components covers the individual layers.
+ * scheduling probes and register allocations are memo hits. Spill
+ * selection and insertion (with the lifetime analysis of every
+ * over-budget round) and verification are not memoized and still run
+ * in every job, so the rows measure whole-job throughput per thread
+ * count, not memo lookups; micro_components covers the individual
+ * layers.
  *
  * Each thread count also reports the per-worker counter breakdown:
  * schedule_s / memo_wait_s / claim_s totals as benchmark counters, and

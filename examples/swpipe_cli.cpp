@@ -57,8 +57,9 @@
  *                                 0 or "auto" = all hardware threads).
  *                                 Output is byte-identical at any
  *                                 thread count.
- *   --memo 0|1                    schedule memoization (default 1);
- *                                 output is byte-identical either way
+ *   --memo 0|1                    schedule and allocation
+ *                                 memoization (default 1); output is
+ *                                 byte-identical either way
  *   --shard i/N                   evaluate only shard i of N (0-based;
  *                                 job j belongs to shard j mod N) and
  *                                 write a shard file instead of stdout

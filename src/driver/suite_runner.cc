@@ -80,8 +80,13 @@ SuiteRunner::SuiteRunner(int threads, bool memoizeSchedules)
 SuiteRunner::LoopBounds
 SuiteRunner::bounds(const Ddg &g, const Machine &m)
 {
-    const auto key =
-        std::make_pair(graphFingerprint(g), machineFingerprint(m));
+    return bounds(g, m, machineFingerprint(m));
+}
+
+SuiteRunner::LoopBounds
+SuiteRunner::bounds(const Ddg &g, const Machine &m, std::uint64_t machineFp)
+{
+    const auto key = std::make_pair(graphFingerprint(g), machineFp);
     const CachedBounds cached = boundsCache_.getOrCompute(
         key,
         [&]() {
@@ -265,15 +270,32 @@ double
 SuiteRunner::jobCost(const std::vector<SuiteLoop> &suite,
                      const Machine &m, const BatchJob &job)
 {
+    return jobCost(suite, m, machineFingerprint(m), job);
+}
+
+double
+SuiteRunner::jobCost(const std::vector<SuiteLoop> &suite,
+                     const Machine &m, std::uint64_t machineFp,
+                     const BatchJob &job)
+{
     const Ddg &g = suite[std::size_t(job.loop)].graph;
     const int span =
-        std::max(1, defaultMaxIi(g, m) - bounds(g, m).mii + 1);
+        std::max(1, defaultMaxIi(g, m) - bounds(g, m, machineFp).mii + 1);
     return double(g.numNodes()) * double(span);
 }
 
 std::vector<std::size_t>
 SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
                           const Machine &m,
+                          const std::vector<BatchJob> &jobs,
+                          const RunOptions &opts)
+{
+    return planJobOrder(suite, m, machineFingerprint(m), jobs, opts);
+}
+
+std::vector<std::size_t>
+SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
+                          const Machine &m, std::uint64_t machineFp,
                           const std::vector<BatchJob> &jobs,
                           const RunOptions &opts)
 {
@@ -304,7 +326,7 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
         }
     }
     parallelFor(distinctLoops.size(), [&](std::size_t k) {
-        (void)bounds(suite[distinctLoops[k]].graph, m);
+        (void)bounds(suite[distinctLoops[k]].graph, m, machineFp);
     });
 
     // Heaviest-first. The costs are deterministic, and the sort is
@@ -312,7 +334,7 @@ SuiteRunner::planJobOrder(const std::vector<SuiteLoop> &suite,
     // results — is identical at any thread count.
     std::vector<double> cost(jobs.size(), 0.0);
     for (const std::size_t i : order)
-        cost[i] = jobCost(suite, m, jobs[i]);
+        cost[i] = jobCost(suite, m, machineFp, jobs[i]);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
                          return cost[a] > cost[b];
@@ -331,8 +353,11 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                    " outside the ", suite.size(), "-loop suite");
     }
 
+    // m is fixed for the whole batch: hash it once for every bounds
+    // and schedule-memo key.
+    const std::uint64_t machineFp = machineFingerprint(m);
     const std::vector<std::size_t> order =
-        planJobOrder(suite, m, jobs, opts);
+        planJobOrder(suite, m, machineFp, jobs, opts);
 
     const bool verify = opts.verify || kAlwaysVerifyResults;
     const bool certify = opts.certify || opts.certificates != nullptr;
@@ -351,12 +376,13 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                 makeScheduler(SchedulerKind::Hrms);
             std::shared_ptr<ModuloScheduler> ims =
                 makeScheduler(SchedulerKind::Ims);
-            return [this, &suite, &m, &jobs, &results, &order, verify,
-                    certify, certOut, hrms, ims](std::size_t k) {
+            return [this, &suite, &m, &jobs, &results, &order, machineFp,
+                    verify, certify, certOut, hrms,
+                    ims](std::size_t k) {
                 const std::size_t i = order[k];
                 const BatchJob &job = jobs[i];
                 const Ddg &g = suite[std::size_t(job.loop)].graph;
-                const LoopBounds b = bounds(g, m);
+                const LoopBounds b = bounds(g, m, machineFp);
 
                 EvalContext ctx;
                 const SchedulerKind kind = job.options.scheduler;
@@ -364,7 +390,11 @@ SuiteRunner::run(const std::vector<SuiteLoop> &suite, const Machine &m,
                     kind == SchedulerKind::Ims ? ims.get() : hrms.get();
                 ctx.imsFallback = ims.get();
                 ctx.knownMii = b.mii;
-                ctx.memo = memoizeSchedules_ ? &scheduleMemo_ : nullptr;
+                ctx.machineFp = machineFp;
+                if (memoizeSchedules_) {
+                    ctx.memo = &scheduleMemo_;
+                    ctx.allocMemo = &allocMemo_;
+                }
 
                 results[i] = job.ideal
                                  ? pipelineIdeal(g, m, kind, &ctx)

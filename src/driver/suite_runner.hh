@@ -20,10 +20,16 @@
  *  - every (graph, machine, II, scheduler) probe outcome — including
  *    "no schedule at this II" — is memoized in a ScheduleMemo shared
  *    by all workers, so best-of-all's binary search and the grid's
- *    repeated cells never schedule the same probe twice.
- * Both memos are single-flight (two workers never compute one key) and
- * neither changes results: output is byte-identical with the schedule
- * memo on or off.
+ *    repeated cells never schedule the same probe twice;
+ *  - the register scan of every schedule the strategies allocate is
+ *    memoized in an AllocationMemo, so a schedule that several
+ *    strategies or budgets reach is analyzed and allocated once, and a
+ *    larger budget resumes the scan where a smaller one stopped;
+ *  - the machine's fingerprint is hashed once per batch, not once per
+ *    memo key.
+ * The memos are single-flight (two workers never compute one key) and
+ * none changes results: output is byte-identical with the schedule and
+ * allocation memos on or off.
  *
  * Beyond threads, a batch can be split *across processes*: a
  * RunOptions::shard spec assigns job index j to shard j mod N, and a
@@ -57,6 +63,7 @@
 #include "driver/shard_merge.hh"
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
+#include "regalloc/alloc_memo.hh"
 #include "sched/sched_memo.hh"
 #include "support/singleflight.hh"
 #include "verify/certify.hh"
@@ -149,10 +156,12 @@ class SuiteRunner
   public:
     /**
      * threads == 0 selects the hardware concurrency; 1 runs inline.
-     * memoizeSchedules toggles the schedule memo (results are identical
-     * either way; off re-schedules every probe — useful for measuring
-     * the memo's effect and for CI's byte-identical diff). Both memos
-     * keep every entry for the life of the runner.
+     * memoizeSchedules toggles the schedule and allocation memos
+     * together (results are identical either way; off re-schedules
+     * every probe and re-allocates every schedule — useful for
+     * measuring the memos' effect and for CI's byte-identical diff).
+     * The bounds memo is always on. Every memo keeps every entry for
+     * the life of the runner.
      */
     explicit SuiteRunner(int threads = 1, bool memoizeSchedules = true);
 
@@ -182,16 +191,21 @@ class SuiteRunner
     /** The shared probe memo (for tests and observability). */
     ScheduleMemo &scheduleMemo() { return scheduleMemo_; }
 
-    /** Counters of both memos, for tests and tuning. */
+    /** The shared allocation memo (for tests and observability). */
+    AllocationMemo &allocationMemo() { return allocMemo_; }
+
+    /** Counters of the three memos, for tests and tuning. */
     struct MemoStats
     {
         SingleFlightStats bounds;
         SingleFlightStats schedule;
+        SingleFlightStats allocation;
     };
     MemoStats
     memoStats() const
     {
-        return {boundsCache_.stats(), scheduleMemo_.stats()};
+        return {boundsCache_.stats(), scheduleMemo_.stats(),
+                allocMemo_.stats()};
     }
 
     /**
@@ -279,6 +293,17 @@ class SuiteRunner
     /** One batch in flight: the shared cursor and its first error. */
     struct Batch;
 
+    /** bounds(), jobCost() and planJobOrder() with m's fingerprint
+        hashed once by the caller. */
+    LoopBounds bounds(const Ddg &g, const Machine &m,
+                      std::uint64_t machineFp);
+    double jobCost(const std::vector<SuiteLoop> &suite, const Machine &m,
+                   std::uint64_t machineFp, const BatchJob &job);
+    std::vector<std::size_t>
+    planJobOrder(const std::vector<SuiteLoop> &suite, const Machine &m,
+                 std::uint64_t machineFp, const std::vector<BatchJob> &jobs,
+                 const RunOptions &opts);
+
     void dispatch(std::size_t count,
                   const std::function<Worker()> &makeWorker) const;
     void work(Batch &batch, std::size_t slot,
@@ -301,6 +326,7 @@ class SuiteRunner
         boundsCache_;
 
     ScheduleMemo scheduleMemo_;
+    AllocationMemo allocMemo_;
 
     /** Per-worker counters (slot w for the w-th worker of each
         batch), merged by the workers as they finish a batch. */

@@ -103,25 +103,14 @@ Ddg::inEdges(NodeId n) const
 std::vector<EdgeId>
 Ddg::valueUses(NodeId n) const
 {
-    std::vector<EdgeId> uses;
-    for (EdgeId e : core_->out[std::size_t(n)]) {
-        const Edge &edge = core_->edges[std::size_t(e)];
-        if (edge.alive && edge.kind == DepKind::RegFlow)
-            uses.push_back(e);
-    }
-    return uses;
+    const ValueUses view = valueUsesView(n);
+    return std::vector<EdgeId>(view.begin(), view.end());
 }
 
 int
 Ddg::numValueUses(NodeId n) const
 {
-    int count = 0;
-    for (EdgeId e : core_->out[std::size_t(n)]) {
-        const Edge &edge = core_->edges[std::size_t(e)];
-        if (edge.alive && edge.kind == DepKind::RegFlow)
-            ++count;
-    }
-    return count;
+    return valueUsesView(n).size();
 }
 
 int

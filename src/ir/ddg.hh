@@ -19,7 +19,9 @@
 #define SWP_IR_DDG_HH
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -124,6 +126,88 @@ struct Edge
 
     /** Dead edges are skipped by all queries (removed by spilling). */
     bool alive = true;
+};
+
+/**
+ * Allocation-free view of one node's value uses: its live
+ * register-flow out-edges, in adjacency order (the order
+ * Ddg::valueUses returns them in). Lifetime analysis and spill
+ * selection walk it once per node per round, so it must not build a
+ * vector each time. Invalidated like Ddg::outEdgeIds.
+ */
+class ValueUses
+{
+  public:
+    class iterator
+    {
+      public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = EdgeId;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const EdgeId *;
+        using reference = EdgeId;
+
+        EdgeId operator*() const { return *it_; }
+
+        iterator &
+        operator++()
+        {
+            ++it_;
+            skip();
+            return *this;
+        }
+
+        bool operator==(const iterator &o) const { return it_ == o.it_; }
+        bool operator!=(const iterator &o) const { return it_ != o.it_; }
+
+      private:
+        friend class ValueUses;
+        using Base = std::vector<EdgeId>::const_iterator;
+
+        iterator(Base it, Base end, const std::vector<Edge> &edges)
+            : it_(it), end_(end), edges_(&edges)
+        {
+            skip();
+        }
+
+        void
+        skip()
+        {
+            while (it_ != end_) {
+                const Edge &e = (*edges_)[std::size_t(*it_)];
+                if (e.alive && e.kind == DepKind::RegFlow)
+                    return;
+                ++it_;
+            }
+        }
+
+        Base it_;
+        Base end_;
+        const std::vector<Edge> *edges_;
+    };
+
+    ValueUses(const std::vector<EdgeId> &out, const std::vector<Edge> &edges)
+        : out_(out), edges_(edges)
+    {
+    }
+
+    iterator begin() const { return {out_.begin(), out_.end(), edges_}; }
+    iterator end() const { return {out_.end(), out_.end(), edges_}; }
+    bool empty() const { return begin() == end(); }
+
+    /** Number of uses (one walk). */
+    int
+    size() const
+    {
+        int count = 0;
+        for (iterator it = begin(); it != end(); ++it)
+            ++count;
+        return count;
+    }
+
+  private:
+    const std::vector<EdgeId> &out_;
+    const std::vector<Edge> &edges_;
 };
 
 /** A loop-invariant value (one register for the whole loop, Section 2.3). */
@@ -244,6 +328,13 @@ class Ddg
 
     /** Live register-flow out-edges: the uses of n's value. */
     std::vector<EdgeId> valueUses(NodeId n) const;
+
+    /** valueUses(n) as an allocation-free view, same order. */
+    ValueUses
+    valueUsesView(NodeId n) const
+    {
+        return {core_->out[std::size_t(n)], core_->edges};
+    }
 
     /** Number of live register-flow out-edges. */
     int numValueUses(NodeId n) const;

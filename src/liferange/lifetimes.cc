@@ -27,7 +27,7 @@ analyzeLifetimes(const Ddg &g, const Schedule &sched)
         if (!producesValue(g.node(u).op))
             continue;
 
-        const auto uses = g.valueUses(u);
+        const ValueUses uses = g.valueUsesView(u);
         if (uses.empty())
             continue;
 

@@ -22,14 +22,15 @@ struct Attempt
 
 std::optional<Attempt>
 tryOriginalAt(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
-              ModuloScheduler &scheduler, int ii, int *attempts)
+              const EvalContext *ctx, ModuloScheduler &scheduler, int ii,
+              int *attempts)
 {
     ++*attempts;
     auto sched = scheduler.scheduleAt(g, m, ii);
     if (!sched)
         return std::nullopt;
-    auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
-                                      opts.registers, opts.fit);
+    auto alloc =
+        resolveWithinBudget(ctx, g, *sched, opts.registers, opts.fit);
     if (!alloc)
         return std::nullopt;
     return Attempt{std::move(*sched), std::move(*alloc)};
@@ -61,7 +62,7 @@ bestOfAllStrategy(const Ddg &g, const Machine &m,
     // beats (or equals) the spill result; binary-search the smallest.
     const int iiSpill = spill.ii();
     auto atSpillIi =
-        tryOriginalAt(g, m, opts, scheduler, iiSpill, &attempts);
+        tryOriginalAt(g, m, opts, ctx, scheduler, iiSpill, &attempts);
     if (!atSpillIi) {
         spill.attempts = attempts;
         return spill;
@@ -73,7 +74,8 @@ bestOfAllStrategy(const Ddg &g, const Machine &m,
     Attempt best = std::move(*atSpillIi);
     while (lo < hi) {
         const int mid = lo + (hi - lo) / 2;
-        auto a = tryOriginalAt(g, m, opts, scheduler, mid, &attempts);
+        auto a =
+            tryOriginalAt(g, m, opts, ctx, scheduler, mid, &attempts);
         if (a) {
             best = std::move(*a);
             hi = mid;

@@ -29,8 +29,8 @@ increaseIiStrategy(const Ddg &g, const Machine &m,
         auto sched = scheduler.scheduleAt(g, m, ii);
         if (!sched)
             return false;
-        auto alloc = allocateWithinBudget(analyzeLifetimes(g, *sched),
-                                          opts.registers, opts.fit);
+        auto alloc = resolveWithinBudget(ctx, g, *sched, opts.registers,
+                                         opts.fit);
         if (!alloc)
             return false;
         result.success = true;
@@ -61,7 +61,8 @@ increaseIiStrategy(const Ddg &g, const Machine &m,
     // Divergent: fall back to local (acyclic) scheduling.
     result.usedFallback = true;
     result.sched = acyclic;
-    result.alloc = allocateLoop(g, acyclic, opts.registers, opts.fit);
+    result.alloc =
+        resolveAllocation(ctx, g, acyclic, opts.registers, opts.fit);
     result.success = result.alloc.fits;
     return result;
 }

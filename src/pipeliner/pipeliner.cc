@@ -60,9 +60,9 @@ pipelineIdeal(const Ddg &g, const Machine &m, SchedulerKind kind,
                "no schedule found for loop '", g.name(),
                "' at any II — scheduler bug");
     result.sched = std::move(*search.sched);
-    result.alloc = allocateLoop(g, result.sched,
-                                std::numeric_limits<int>::max() / 2,
-                                FitStrategy::EndFit);
+    result.alloc = resolveAllocation(ctx, g, result.sched,
+                                     std::numeric_limits<int>::max() / 2,
+                                     FitStrategy::EndFit);
     result.success = true;
     return result;
 }

@@ -132,14 +132,17 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
 
         Schedule sched = std::move(*search.sched);
         prevIi = sched.ii();
-        const LifetimeInfo lifetimes = analyzeLifetimes(work, sched);
 
         // Only a fitting allocation is kept, so the register scan stops
         // at the budget, except when the observer reports every
-        // round's exact count.
+        // round's exact count. The round analyzes its lifetimes at
+        // most once: the allocation memo leaves them in `lifetimes`
+        // when it had to analyze, and spill selection reuses them.
+        std::optional<LifetimeInfo> lifetimes;
         std::optional<AllocationOutcome> alloc;
         if (observer) {
-            alloc = allocateLoop(lifetimes, opts.registers, opts.fit);
+            lifetimes = analyzeLifetimes(work, sched);
+            alloc = allocateLoop(*lifetimes, opts.registers, opts.fit);
             SpillRoundInfo info;
             info.round = round;
             info.ii = sched.ii();
@@ -151,8 +154,8 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
             if (!alloc->fits)
                 alloc.reset();
         } else {
-            alloc =
-                allocateWithinBudget(lifetimes, opts.registers, opts.fit);
+            alloc = resolveWithinBudget(ctx, work, sched, opts.registers,
+                                        opts.fit, &lifetimes);
         }
 
         if (alloc) {
@@ -167,11 +170,13 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
             return result;
         }
 
+        if (!lifetimes)
+            lifetimes = analyzeLifetimes(work, sched);
         overBudget.push_back(
             {std::move(sched), curMii, result.spilledLifetimes, {}});
 
         const auto candidates =
-            spillCandidates(work, lifetimes, opts.spillUses);
+            spillCandidates(work, *lifetimes, opts.spillUses);
         if (candidates.empty()) {
             // Nothing left to spill: every lifetime is already a spill
             // artifact. Keep the best schedule seen (below).
@@ -180,7 +185,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
 
         std::vector<SpillCandidate> &picks = overBudget.back().picks;
         if (opts.multiSelect) {
-            picks = selectMultiple(candidates, opts.heuristic, lifetimes,
+            picks = selectMultiple(candidates, opts.heuristic, *lifetimes,
                                    opts.registers);
         } else if (auto one = selectOne(candidates, opts.heuristic)) {
             picks.push_back(*one);
@@ -196,7 +201,7 @@ spillStrategy(const Ddg &g, const Machine &m, const PipelinerOptions &opts,
     // all; otherwise the best over-budget modulo schedule is kept.
     Schedule acyclicSched = scheduleAcyclic(g, m);
     AllocationOutcome acyclicAlloc =
-        allocateLoop(g, acyclicSched, opts.registers, opts.fit);
+        resolveAllocation(ctx, g, acyclicSched, opts.registers, opts.fit);
     if (!overBudget.empty() && !acyclicAlloc.fits) {
         keepBestRound(result, g, m, opts, overBudget);
         return result;

@@ -268,18 +268,18 @@ pack(const std::vector<const Lifetime *> &values, long ii, int num_regs,
 }
 
 /**
- * The R scan shared by minRotatingRegs, allocateLoop and
- * allocateWithinBudget: for R from max(1, MaxLive) up to `limit`, pack
- * each of `orders` in turn, and the first (R, order) that packs wins.
- * An earlier order therefore wins ties, and a later one wins only at a
- * strictly smaller R. Each order is sorted once, on first use, and all
- * packs share one circle and `offset`, which ends holding the winning
- * pack's offsets (all -1 when nothing is live; unspecified when no pack
- * up to `limit` succeeds). Returns the winning R, or limit+1.
+ * The R scan shared by minRotatingRegs and RegisterScan: for R from
+ * max(first, 1, MaxLive) up to `limit`, pack each of `orders` in turn,
+ * and the first (R, order) that packs wins. An earlier order therefore
+ * wins ties, and a later one wins only at a strictly smaller R. Each
+ * order is sorted once, on first use, and all packs share one circle
+ * and `offset`, which ends holding the winning pack's offsets (all -1
+ * when nothing is live; unspecified when no pack up to `limit`
+ * succeeds). Returns the winning R, or limit+1.
  */
 int
 scanRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
-         std::initializer_list<AllocOrder> orders, int limit,
+         std::initializer_list<AllocOrder> orders, int first, int limit,
          std::vector<int> &offset)
 {
     offset.assign(lifetimes.lifetimes.size(), -1);
@@ -289,7 +289,8 @@ scanRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
         return 0;
 
     Circle circle;
-    for (int r = std::max(1, lifetimes.maxLive); r <= limit; ++r) {
+    for (int r = std::max({first, 1, lifetimes.maxLive}); r <= limit;
+         ++r) {
         std::size_t k = 0;
         for (const AllocOrder order : orders) {
             if (values[k].empty())
@@ -329,27 +330,10 @@ AllocationOutcome
 allocateUpTo(const LifetimeInfo &info, int budget, FitStrategy strategy,
              int limit)
 {
-    AllocationOutcome outcome;
-    outcome.maxLive = info.maxLive;
-    outcome.invariants = info.invariantCount;
-
-    const int cap = regsCap(budget, info.maxLive);
-    limit = std::min(limit, cap);
-    std::vector<int> offset;
-    outcome.rotating =
-        scanRegs(info, strategy,
-                 {AllocOrder::Adjacency, AllocOrder::DescendingLength},
-                 limit, offset);
-    if (outcome.rotating <= limit) {
-        outcome.rotAlloc.ok = true;
-        outcome.rotAlloc.registers = outcome.rotating;
-        outcome.rotAlloc.offset = std::move(offset);
-    } else {
-        outcome.rotating = cap + 1;
-    }
-    outcome.regsRequired = outcome.rotating + outcome.invariants;
-    outcome.fits = outcome.regsRequired <= budget;
-    return outcome;
+    RegisterScan scan(info);
+    const int bound = scan.bound(budget, limit);
+    scan.extend(info, strategy, bound);
+    return std::move(scan).outcome(budget, bound);
 }
 
 } // namespace
@@ -383,7 +367,88 @@ minRotatingRegs(const LifetimeInfo &lifetimes, FitStrategy strategy,
                 AllocOrder order, int cap)
 {
     std::vector<int> offset;
-    return scanRegs(lifetimes, strategy, {order}, cap, offset);
+    return scanRegs(lifetimes, strategy, {order}, 1, cap, offset);
+}
+
+RegisterScan::RegisterScan(const LifetimeInfo &info)
+    : maxLive_(info.maxLive),
+      invariants_(info.invariantCount),
+      scanned_(std::max(1, info.maxLive) - 1)
+{
+    const bool anyLive =
+        std::any_of(info.lifetimes.begin(), info.lifetimes.end(),
+                    [](const Lifetime &lt) {
+                        return lt.live && lt.length() > 0;
+                    });
+    if (!anyLive) {
+        // Nothing to pack: zero registers fit every request whose
+        // limit admits them, and no R is ever packed.
+        winner_ = 0;
+        offset_.assign(info.lifetimes.size(), -1);
+    }
+}
+
+int
+RegisterScan::bound(int budget, int limit) const
+{
+    return std::min(limit, regsCap(budget, maxLive_));
+}
+
+void
+RegisterScan::extend(const LifetimeInfo &info, FitStrategy strategy,
+                     int bound)
+{
+    if (covers(bound))
+        return;
+    std::vector<int> offset;
+    const int r =
+        scanRegs(info, strategy,
+                 {AllocOrder::Adjacency, AllocOrder::DescendingLength},
+                 scanned_ + 1, bound, offset);
+    if (r <= bound) {
+        winner_ = r;
+        offset_ = std::move(offset);
+    } else {
+        scanned_ = bound;
+    }
+}
+
+AllocationOutcome
+RegisterScan::decided(int budget, int bound) const
+{
+    SWP_ASSERT(covers(bound), "register scan stopped at R=", scanned_,
+               " below the requested bound ", bound);
+    AllocationOutcome outcome;
+    outcome.maxLive = maxLive_;
+    outcome.invariants = invariants_;
+    if (winner_ >= 0 && winner_ <= bound) {
+        outcome.rotating = winner_;
+        outcome.rotAlloc.ok = true;
+        outcome.rotAlloc.registers = winner_;
+    } else {
+        outcome.rotating = regsCap(budget, maxLive_) + 1;
+    }
+    outcome.regsRequired = outcome.rotating + outcome.invariants;
+    outcome.fits = outcome.regsRequired <= budget;
+    return outcome;
+}
+
+AllocationOutcome
+RegisterScan::outcome(int budget, int bound) const &
+{
+    AllocationOutcome outcome = decided(budget, bound);
+    if (outcome.rotAlloc.ok)
+        outcome.rotAlloc.offset = offset_;
+    return outcome;
+}
+
+AllocationOutcome
+RegisterScan::outcome(int budget, int bound) &&
+{
+    AllocationOutcome outcome = decided(budget, bound);
+    if (outcome.rotAlloc.ok)
+        outcome.rotAlloc.offset = std::move(offset_);
+    return outcome;
 }
 
 AllocationOutcome

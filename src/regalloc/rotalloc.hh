@@ -122,6 +122,65 @@ allocateWithinBudget(const LifetimeInfo &info, int budget,
                      FitStrategy strategy);
 
 /**
+ * The register scan of one schedule's lifetimes as a resumable value,
+ * the state behind allocateLoop and allocateWithinBudget. For each R
+ * from max(1, MaxLive) up, the scan packs in adjacency order, then by
+ * descending length, and the first R that packs wins. Each R is packed
+ * independently of the others, so a scan that stopped at some R
+ * without a winner can be extended later, up to a higher bound, and
+ * ends exactly where one uninterrupted scan would have. The batch
+ * driver's allocation memo keeps one per (graph, schedule, fit) and
+ * answers every budget from it.
+ *
+ * A request is a (budget, limit) pair: `limit` is the highest rotating
+ * count its caller can use (budget - invariants for the bounded entry
+ * point, unlimited for the exact one); bound() clips it to the
+ * budget's scan cap. Once covers(bound) holds, outcome(budget, bound)
+ * equals the entry point's outcome, every offset included.
+ */
+class RegisterScan
+{
+  public:
+    /** An unscanned state for these lifetimes (no pack yet). */
+    explicit RegisterScan(const LifetimeInfo &info);
+
+    /** The highest R a (budget, limit) request reads. */
+    int bound(int budget, int limit) const;
+
+    /** True if every R up to `bound` is decided without packing. */
+    bool
+    covers(int bound) const
+    {
+        return winner_ >= 0 || bound <= scanned_;
+    }
+
+    /**
+     * Pack R = scanned + 1 .. bound until one fits. `info` must be the
+     * lifetimes the scan was built from.
+     */
+    void extend(const LifetimeInfo &info, FitStrategy strategy, int bound);
+
+    /** The entry points' outcome; requires covers(bound). */
+    AllocationOutcome outcome(int budget, int bound) const &;
+    AllocationOutcome outcome(int budget, int bound) &&;
+
+  private:
+    /** outcome() without the offsets (set when the request fits). */
+    AllocationOutcome decided(int budget, int bound) const;
+
+    int maxLive_ = 0;
+    int invariants_ = 0;
+    /** Highest R packed without success (max(1, MaxLive) - 1 before
+        the first pack). */
+    int scanned_ = 0;
+    /** The winning R (0 when nothing is live), or -1 while unknown. */
+    int winner_ = -1;
+    /** The winner's offsets; sized to the lifetimes (all -1) when
+        nothing is live, empty while the winner is unknown. */
+    std::vector<int> offset_;
+};
+
+/**
  * Verify an allocation: no two lifetimes' arcs overlap (the conflict
  * lemma above). An offset table that does not cover every lifetime, or
  * live values with no registers (the unallocated default result), is

@@ -8,10 +8,17 @@ namespace swp
 
 std::optional<Schedule>
 ScheduleMemo::scheduleAt(ModuloScheduler &inner, SchedulerKind kind,
-                         const Ddg &g, const Machine &m, int ii)
+                         const Ddg &g, const Machine &m, int ii,
+                         std::uint64_t machineFp)
 {
-    const Key key{graphFingerprint(g), machineFingerprint(m), ii,
-                  int(kind)};
+    if (machineFp == 0) {
+        machineFp = machineFingerprint(m);
+    } else if (verifyKeys_) {
+        SWP_ASSERT(machineFp == machineFingerprint(m),
+                   "schedule memo: stale machine fingerprint for '",
+                   m.name(), "'");
+    }
+    const Key key{graphFingerprint(g), machineFp, ii, int(kind)};
     CachedProbe probe = cache_.getOrCompute(
         key,
         [&]() {

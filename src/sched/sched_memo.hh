@@ -57,11 +57,13 @@ class ScheduleMemo
      * it (single-flight) and later callers hit the cache. Safe to call
      * concurrently with distinct `inner` instances of the same kind:
      * the result must only depend on (kind, g, m, ii), which every
-     * scheduler in this library guarantees.
+     * scheduler in this library guarantees. `machineFp`, when nonzero,
+     * is machineFingerprint(m) hashed once by the caller.
      */
     std::optional<Schedule> scheduleAt(ModuloScheduler &inner,
                                        SchedulerKind kind, const Ddg &g,
-                                       const Machine &m, int ii);
+                                       const Machine &m, int ii,
+                                       std::uint64_t machineFp = 0);
 
     /** requests/computes/entries; computes == entries means no rework. */
     Stats stats() const { return cache_.stats(); }
@@ -92,9 +94,11 @@ class ScheduleMemo
 class MemoizedScheduler final : public ModuloScheduler
 {
   public:
+    /** machineFp: machineFingerprint of the machine every probe
+        passes, or 0 to hash it per probe. */
     MemoizedScheduler(ScheduleMemo &memo, ModuloScheduler &inner,
-                      SchedulerKind kind)
-        : memo_(memo), inner_(inner), kind_(kind)
+                      SchedulerKind kind, std::uint64_t machineFp = 0)
+        : memo_(memo), inner_(inner), kind_(kind), machineFp_(machineFp)
     {
     }
 
@@ -103,13 +107,14 @@ class MemoizedScheduler final : public ModuloScheduler
     std::optional<Schedule>
     scheduleAt(const Ddg &g, const Machine &m, int ii) override
     {
-        return memo_.scheduleAt(inner_, kind_, g, m, ii);
+        return memo_.scheduleAt(inner_, kind_, g, m, ii, machineFp_);
     }
 
   private:
     ScheduleMemo &memo_;
     ModuloScheduler &inner_;
     SchedulerKind kind_;
+    std::uint64_t machineFp_;
 };
 
 } // namespace swp

@@ -1,8 +1,8 @@
 #include "sched/schedule.hh"
 
 #include <algorithm>
-#include <map>
 #include <sstream>
+#include <vector>
 
 #include "sched/groups.hh"
 #include "support/diag.hh"
@@ -116,8 +116,16 @@ validateSchedule(const Ddg &g, const Machine &m, const Schedule &s,
     }
 
     // Resource constraints: each (class, unit, kernel row) has at most
-    // one occupant, counting non-pipelined occupancy.
-    std::map<std::tuple<int, int, int>, NodeId> slots;
+    // one occupant, counting non-pipelined occupancy. One flat slot per
+    // (class, unit, row), class-major: unit u of class c owns the ii
+    // slots from (firstUnit[c] + u) * ii.
+    std::vector<int> firstUnit(std::size_t(m.numClasses()) + 1, 0);
+    for (int c = 0; c < m.numClasses(); ++c) {
+        firstUnit[std::size_t(c) + 1] =
+            firstUnit[std::size_t(c)] + m.unitsInClass(c);
+    }
+    std::vector<NodeId> slots(
+        std::size_t(firstUnit.back()) * std::size_t(ii), invalidNode);
     for (NodeId n = 0; n < g.numNodes(); ++n) {
         const Opcode op = g.node(n).op;
         const int cls = m.classOf(op);
@@ -132,17 +140,18 @@ validateSchedule(const Ddg &g, const Machine &m, const Schedule &s,
                 "node %s occupies its unit %d cycles > II=%d",
                 g.node(n).name.c_str(), occ, ii));
         }
+        const std::size_t unitSlots =
+            std::size_t(firstUnit[std::size_t(cls)] + u) * std::size_t(ii);
         for (int c = 0; c < occ; ++c) {
             const int row = Schedule::floorMod(s.time(n) + c, ii);
-            const auto key = std::make_tuple(cls, u, row);
-            const auto [it, inserted] = slots.emplace(key, n);
-            if (!inserted) {
+            NodeId &slot = slots[unitSlots + std::size_t(row)];
+            if (slot != invalidNode) {
                 return fail(strprintf(
                     "resource conflict on %s unit %d row %d: %s vs %s",
                     m.className(cls).c_str(), u, row,
-                    g.node(it->second).name.c_str(),
-                    g.node(n).name.c_str()));
+                    g.node(slot).name.c_str(), g.node(n).name.c_str()));
             }
+            slot = n;
         }
     }
     return true;

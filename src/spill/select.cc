@@ -27,8 +27,8 @@ reusableStoreConsumer(const Ddg &g, EdgeId use)
     if (!consumer.invariantUses.empty())
         return false;
     int regInputs = 0;
-    for (EdgeId e : g.inEdges(edge.dst)) {
-        if (g.edge(e).kind == DepKind::RegFlow)
+    for (EdgeId e : g.inEdgeIds(edge.dst)) {
+        if (g.edge(e).alive && g.edge(e).kind == DepKind::RegFlow)
             ++regInputs;
     }
     return regInputs == 1;
@@ -39,29 +39,30 @@ reusableStoreConsumer(const Ddg &g, EdgeId use)
 int
 spillCost(const Ddg &g, NodeId producer)
 {
-    const auto uses = g.valueUses(producer);
-    if (uses.empty())
+    const ValueUses uses = g.valueUsesView(producer);
+    const int count = uses.size();
+    if (count == 0)
         return 0;
 
     if (g.node(producer).op == Opcode::Load) {
         // Re-load from the original location: one load per use, no store.
-        return int(uses.size());
+        return count;
     }
     for (EdgeId e : uses) {
         if (reusableStoreConsumer(g, e)) {
             // The existing store spills the value; every other use gets
             // a reload.
-            return int(uses.size()) - 1;
+            return count - 1;
         }
     }
     // General case: one store plus one load per use.
-    return int(uses.size()) + 1;
+    return count + 1;
 }
 
 NodeId
 existingSpillStore(const Ddg &g, NodeId producer)
 {
-    for (EdgeId e : g.valueUses(producer)) {
+    for (EdgeId e : g.valueUsesView(producer)) {
         const Edge &edge = g.edge(e);
         if (edge.nonSpillable &&
             g.node(edge.dst).origin == NodeOrigin::SpillStore) {
@@ -86,8 +87,7 @@ useCandidate(const Ddg &g, const LifetimeInfo &lifetimes, NodeId u)
     const Lifetime &lt = lifetimes.of(u);
     if (!lt.live || lt.lastUse < 0)
         return std::nullopt;
-    const auto uses = g.valueUses(u);
-    if (uses.size() < 2 || lt.end <= lt.secondEnd)
+    if (g.valueUsesView(u).size() < 2 || lt.end <= lt.secondEnd)
         return std::nullopt;
 
     const Edge &use = g.edge(lt.lastUse);

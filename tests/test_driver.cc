@@ -71,6 +71,37 @@ mixedGrid(std::size_t loops)
 }
 
 /**
+ * The paper's Table 1 / Figure 9 cross-product over an n-loop suite:
+ * per loop, ideal plus {increase-II, spill, best-of-all} x {64, 32}
+ * registers, with the Section 4.5 heuristics on for the spilling
+ * strategies (the benchmark's grid-paper job list).
+ */
+std::vector<BatchJob>
+gridPaperJobs(std::size_t loops)
+{
+    std::vector<BatchJob> jobs;
+    for (std::size_t i = 0; i < loops; ++i) {
+        BatchJob ideal;
+        ideal.loop = int(i);
+        ideal.ideal = true;
+        jobs.push_back(ideal);
+        for (const Strategy s : {Strategy::IncreaseII, Strategy::Spill,
+                                 Strategy::BestOfAll}) {
+            for (const int registers : {64, 32}) {
+                BatchJob job;
+                job.loop = int(i);
+                job.strategy = s;
+                job.options.registers = registers;
+                job.options.multiSelect = s != Strategy::IncreaseII;
+                job.options.reuseLastIi = s != Strategy::IncreaseII;
+                jobs.push_back(job);
+            }
+        }
+    }
+    return jobs;
+}
+
+/**
  * Greedy list-scheduling model of the shared-cursor claim: whichever
  * worker frees up first (ties to the lower index) takes the next plan
  * position, and position k costs costs[order[k]]. A worker is busy from
@@ -100,9 +131,17 @@ expectIdenticalResults(const PipelineResult &a, const PipelineResult &b,
     EXPECT_EQ(a.spilledLifetimes, b.spilledLifetimes) << "job " << job;
     EXPECT_EQ(a.strategy, b.strategy) << "job " << job;
     EXPECT_EQ(a.ii(), b.ii()) << "job " << job;
+    EXPECT_EQ(a.alloc.fits, b.alloc.fits) << "job " << job;
     EXPECT_EQ(a.alloc.regsRequired, b.alloc.regsRequired)
         << "job " << job;
+    EXPECT_EQ(a.alloc.rotating, b.alloc.rotating) << "job " << job;
+    EXPECT_EQ(a.alloc.invariants, b.alloc.invariants) << "job " << job;
     EXPECT_EQ(a.alloc.maxLive, b.alloc.maxLive) << "job " << job;
+    EXPECT_EQ(a.alloc.rotAlloc.ok, b.alloc.rotAlloc.ok) << "job " << job;
+    EXPECT_EQ(a.alloc.rotAlloc.registers, b.alloc.rotAlloc.registers)
+        << "job " << job;
+    EXPECT_EQ(a.alloc.rotAlloc.offset, b.alloc.rotAlloc.offset)
+        << "job " << job;
     EXPECT_EQ(a.memOpsPerIteration(), b.memOpsPerIteration())
         << "job " << job;
     ASSERT_EQ(a.graph().numNodes(), b.graph().numNodes())
@@ -254,6 +293,67 @@ TEST(SuiteRunner, ScheduleMemoEliminatesReworkAcrossBatches)
         expectIdenticalResults(first[i], second[i], i);
 }
 
+TEST(SuiteRunner, MemosOnOffAgreeOnTheWholePinnedPaperGrid)
+{
+    // The allocation memo answers most of this grid's requests from
+    // entries another strategy or budget created, so every result —
+    // allocation offsets included — must match a memo-free run, at one
+    // thread and at four.
+    const std::vector<SuiteLoop> suite = testSuite(1258);
+    const Machine m = Machine::p2l4();
+    const std::vector<BatchJob> jobs = gridPaperJobs(suite.size());
+    ASSERT_EQ(jobs.size(), 8806u);
+
+    SuiteRunner plain(1, false);
+    const auto reference = plain.run(suite, m, jobs);
+    EXPECT_EQ(plain.memoStats().allocation.requests, 0);
+    for (const int threads : {1, 4}) {
+        SuiteRunner memo(threads, true);
+        const auto results = memo.run(suite, m, jobs);
+        ASSERT_EQ(results.size(), jobs.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            expectIdenticalResults(reference[i], results[i], i);
+
+        const SingleFlightStats alloc = memo.memoStats().allocation;
+        EXPECT_EQ(alloc.computes, alloc.entries) << threads << " threads";
+        EXPECT_LT(2 * alloc.computes, alloc.requests)
+            << "most of the grid's allocations repeat earlier ones";
+    }
+    SuiteRunner memoOff4(4, false);
+    const auto offPooled = memoOff4.run(suite, m, jobs);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        expectIdenticalResults(reference[i], offPooled[i], i);
+}
+
+TEST(SuiteRunner, AllocationMemoServesRepeatsFromCache)
+{
+    // Within one batch the strategies and budgets repeat allocations;
+    // a second identical batch allocates nothing new.
+    const std::vector<SuiteLoop> suite = testSuite(12);
+    const Machine m = Machine::p1l4();
+    const std::vector<BatchJob> jobs = mixedGrid(suite.size());
+
+    SuiteRunner runner(3);
+    const auto first = runner.run(suite, m, jobs);
+    const SingleFlightStats afterFirst = runner.memoStats().allocation;
+    EXPECT_GT(afterFirst.computes, 0);
+    EXPECT_LT(afterFirst.computes, afterFirst.requests)
+        << "ideal, increase-II and best-of-all reach the same schedules";
+    EXPECT_EQ(afterFirst.computes, afterFirst.entries)
+        << "two workers analyzed one schedule";
+
+    const long resumes = runner.allocationMemo().resumes();
+    const auto second = runner.run(suite, m, jobs);
+    const SingleFlightStats afterSecond = runner.memoStats().allocation;
+    EXPECT_EQ(afterSecond.computes, afterFirst.computes);
+    EXPECT_EQ(afterSecond.entries, afterFirst.entries);
+    EXPECT_EQ(afterSecond.requests, 2 * afterFirst.requests);
+    EXPECT_EQ(runner.allocationMemo().resumes(), resumes)
+        << "a repeated request scanned registers again";
+    for (std::size_t i = 0; i < first.size(); ++i)
+        expectIdenticalResults(first[i], second[i], i);
+}
+
 TEST(SuiteRunner, MemosAreSingleFlight)
 {
     // Two workers must never compute the same memo key: the number of
@@ -279,6 +379,10 @@ TEST(SuiteRunner, MemosAreSingleFlight)
     EXPECT_GT(sched.requests, 0);
     EXPECT_EQ(sched.computes - sched.entries, 0)
         << "two workers raced to schedule one probe";
+    const SingleFlightStats alloc = runner.memoStats().allocation;
+    EXPECT_GT(alloc.requests, 0);
+    EXPECT_EQ(alloc.computes - alloc.entries, 0)
+        << "two workers raced to allocate one schedule";
 }
 
 TEST(SuiteRunner, PoolSurvivesAFailedBatchAndRunsAgain)

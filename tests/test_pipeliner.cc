@@ -17,6 +17,7 @@
 
 #include "ir/builder.hh"
 #include "pipeliner/pipeliner.hh"
+#include "regalloc/alloc_memo.hh"
 #include "sched/acyclic.hh"
 #include "sched/fingerprint.hh"
 #include "sched/mii.hh"
@@ -474,8 +475,10 @@ TEST(Pipeliner, SpillStrategyResultsIdenticalWithAndWithoutMemo)
          {buildApsi47Analogue(), buildApsi50Analogue(),
           buildPaperExampleLoop()}) {
         ScheduleMemo memo(/*verifyKeys=*/true);
+        AllocationMemo allocMemo(/*verifyKeys=*/true);
         EvalContext ctx;
         ctx.memo = &memo;
+        ctx.allocMemo = &allocMemo;
         const PipelineResult with = spillStrategy(g, m, opts, {}, &ctx);
         const PipelineResult without = spillStrategy(g, m, opts, {});
         EXPECT_EQ(with.success, without.success) << g.name();
@@ -486,7 +489,10 @@ TEST(Pipeliner, SpillStrategyResultsIdenticalWithAndWithoutMemo)
             << g.name();
         EXPECT_EQ(with.alloc.regsRequired, without.alloc.regsRequired)
             << g.name();
+        EXPECT_EQ(with.alloc.rotAlloc.offset, without.alloc.rotAlloc.offset)
+            << g.name();
         EXPECT_GT(memo.stats().requests, 0) << g.name();
+        EXPECT_GT(allocMemo.stats().requests, 0) << g.name();
     }
 }
 

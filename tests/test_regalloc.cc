@@ -4,8 +4,9 @@
  * model, fit strategies, minimum-register search and the MaxLive bound,
  * the conflict oracle's rejection of malformed results, and a
  * differential test of the bitmap allocator against the arc-list
- * reference in rotalloc_reference.cc, and the budget-bounded entry
- * point against the exact one.
+ * reference in rotalloc_reference.cc, the budget-bounded entry point
+ * against the exact one, and the resumable register scan and the
+ * allocation memo built on it against fresh allocations.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +19,10 @@
 #include "ir/builder.hh"
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
+#include "regalloc/alloc_memo.hh"
 #include "regalloc/rotalloc.hh"
 #include "rotalloc_reference.hh"
+#include "sched/fingerprint.hh"
 #include "sched/hrms.hh"
 #include "sched/mii.hh"
 #include "support/rng.hh"
@@ -485,6 +488,142 @@ TEST(AllocWithinBudget, NothingFitsBelowMaxLivePlusInvariants)
     ASSERT_TRUE(tight.has_value());
     EXPECT_EQ(tight->regsRequired, exact.regsRequired);
     EXPECT_EQ(tight->rotAlloc.offset, exact.rotAlloc.offset);
+}
+
+// ---- Resumable register scan and the allocation memo -----------------
+
+/** A fresh allocation for a request: exact, or bounded by the budget
+    (nullopt when it does not fit), as the entry points return it. */
+std::optional<AllocationOutcome>
+freshAllocation(const LifetimeInfo &info, int budget, FitStrategy fit,
+                bool exact)
+{
+    if (exact)
+        return allocateLoop(info, budget, fit);
+    return allocateWithinBudget(info, budget, fit);
+}
+
+TEST(RegisterScan, ResumedScansMatchFreshAllocationsInAnyRequestOrder)
+{
+    // One scan answers a random sequence of exact and bounded requests
+    // over rising and falling budgets; each answer must equal a fresh
+    // allocation of the same request, offsets included.
+    constexpr int kCap = 64;
+    Rng rng(0x5ca9);
+    int resumed = 0;
+    for (int set = 0; set < 3000; ++set) {
+        LifetimeInfo info = randomLifetimes(rng, kCap);
+        info.invariantCount = rng.range(0, 3);
+        const FitStrategy fit = kFits[rng.range(0, 2)];
+        const int top = allocateLoop(info, 0, fit).regsRequired;
+        RegisterScan scan(info);
+        for (int request = 0; request < 6; ++request) {
+            const bool exact = rng.chance(0.3);
+            const int budget = rng.range(0, std::min(top + 2, 4 * kCap));
+            const int limit =
+                exact ? INT_MAX : budget - info.invariantCount;
+            const int bound = scan.bound(budget, limit);
+            if (!scan.covers(bound)) {
+                ++resumed;
+                scan.extend(info, fit, bound);
+            }
+            ASSERT_TRUE(scan.covers(bound));
+            const AllocationOutcome got = scan.outcome(budget, bound);
+            const std::optional<AllocationOutcome> want =
+                freshAllocation(info, budget, fit, exact);
+            const std::string what = "set " + std::to_string(set) +
+                                     " request " + std::to_string(request) +
+                                     (exact ? " exact" : " bounded") +
+                                     " budget " + std::to_string(budget);
+            if (!want) {
+                EXPECT_FALSE(got.fits) << what;
+                continue;
+            }
+            std::string why;
+            EXPECT_TRUE(sameOutcome(got, *want, &why)) << what << ": " << why;
+            if (HasFailure())
+                return;
+        }
+    }
+    EXPECT_GT(resumed, 3000);
+}
+
+TEST(AllocationMemo, BoundedThenLargerThenExactMatchFreshAllocations)
+{
+    // The increase-II shape on real schedules: a bounded request below
+    // the requirement, a larger bounded one that must resume the scan,
+    // then the exact allocation, each equal to a fresh allocation.
+    const Machine m = Machine::p2l4();
+    SuiteParams params;
+    params.numLoops = 300;
+    AllocationMemo memo;
+    long pairs = 0;
+    for (int i = 0; i < params.numLoops; ++i) {
+        const SuiteLoop loop = generateSuiteLoop(params, i);
+        const PipelineResult ideal = pipelineIdeal(loop.graph, m);
+        const Ddg &g = ideal.graph();
+        const LifetimeInfo info = analyzeLifetimes(g, ideal.sched);
+        for (const FitStrategy fit : kFits) {
+            ++pairs;
+            const AllocationOutcome exact = allocateLoop(info, 32, fit);
+            const int need = exact.regsRequired;
+            for (const int budget : {need - 1, need + 1}) {
+                const auto got =
+                    memo.allocateWithinBudget(g, ideal.sched, budget, fit);
+                const auto want = allocateWithinBudget(info, budget, fit);
+                ASSERT_EQ(got.has_value(), want.has_value())
+                    << g.name() << " budget " << budget;
+                std::string why;
+                if (got) {
+                    EXPECT_TRUE(sameOutcome(*got, *want, &why))
+                        << g.name() << " budget " << budget << ": " << why;
+                }
+            }
+            std::optional<LifetimeInfo> slot;
+            const AllocationOutcome got =
+                memo.allocateLoop(g, ideal.sched, 32, fit, &slot);
+            EXPECT_FALSE(slot.has_value())
+                << g.name() << ": the exact answer is already decided";
+            std::string why;
+            EXPECT_TRUE(sameOutcome(got, exact, &why)) << g.name() << ": "
+                                                        << why;
+            if (HasFailure())
+                return;
+        }
+    }
+    const AllocationMemo::Stats stats = memo.stats();
+    EXPECT_EQ(stats.requests, 3 * pairs);
+    EXPECT_EQ(stats.computes, pairs);
+    EXPECT_EQ(stats.entries, pairs);
+    // need - 1 scans up to need - 1 - invariants; need + 1 finds the
+    // winner one R later, so every pair with room resumes once.
+    EXPECT_GT(memo.resumes(), pairs / 2);
+}
+
+TEST(AllocationMemo, SpilledInvariantDoesNotShareAnEntry)
+{
+    // Spilling an invariant leaves the graph fingerprint unchanged (it
+    // does not read invariants' spill state) but frees a register: the
+    // memo key must tell the two graphs apart.
+    const Ddg g = buildPaperExampleLoop();  // One invariant 'a'.
+    Ddg spilled = g;
+    spilled.invariant(0).spilled = true;
+    ASSERT_EQ(graphFingerprint(g), graphFingerprint(spilled));
+    ASSERT_EQ(spilled.numLiveInvariants(), g.numLiveInvariants() - 1);
+
+    const Schedule s = paperFlatSchedule(2);
+    AllocationMemo memo;
+    std::string why;
+    const Ddg *const requests[] = {&g, &spilled, &g, &spilled};
+    for (const Ddg *graph : requests) {
+        const AllocationOutcome got =
+            memo.allocateLoop(*graph, s, 32, FitStrategy::EndFit);
+        EXPECT_TRUE(sameOutcome(got, allocateLoop(*graph, s, 32), &why))
+            << why;
+        EXPECT_EQ(got.invariants, graph->numLiveInvariants());
+    }
+    EXPECT_EQ(memo.stats().entries, 2);
+    EXPECT_EQ(memo.stats().requests, 4);
 }
 
 } // namespace

@@ -1,13 +1,23 @@
 /**
  * @file
- * Schedule container and validator tests.
+ * Schedule container and validator tests, including a differential
+ * test of the validator against the map-based original it replaced
+ * (kept test-only in schedule_reference.cc).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "ir/builder.hh"
 #include "machine/machine.hh"
+#include "pipeliner/pipeliner.hh"
+#include "sched/acyclic.hh"
 #include "sched/schedule.hh"
+#include "schedule_reference.hh"
+#include "verify/mutate.hh"
+#include "workload/suitegen.hh"
 
 namespace swp
 {
@@ -150,6 +160,78 @@ TEST(ValidateSchedule, CatchesNonPipelinedSelfOverlap)
     std::string why;
     EXPECT_FALSE(validateSchedule(g, m, s, &why));
     EXPECT_NE(why.find("occupies"), std::string::npos);
+}
+
+/** Both validators agree on s: same verdict, same message. Returns
+    the verdict. */
+bool
+expectSameVerdict(const Ddg &g, const Machine &m, const Schedule &s,
+                  const std::string &what)
+{
+    std::string why = "unset";
+    std::string refWhy = "unset";
+    const bool ok = validateSchedule(g, m, s, &why);
+    const bool refOk = schedule_ref::validateSchedule(g, m, s, &refWhy);
+    EXPECT_EQ(ok, refOk) << what;
+    EXPECT_EQ(why, refWhy) << what;
+    return ok;
+}
+
+TEST(ValidateSchedule, FlatSlotsMatchMapReferenceOnSchedulesAndMutants)
+{
+    // Valid modulo schedules (spilled ones too, with fused edges) and
+    // acyclic ones, plus single-site mutants of each: every cycle moved
+    // by -2..2 and every unit changed, out-of-range ones included. The
+    // flat validator must find the same first violation as the map.
+    SuiteParams params;  // Pinned default seed.
+    params.numLoops = 80;
+    const std::vector<SuiteLoop> suite = generateSuite(params);
+    PipelinerOptions opts;
+    opts.registers = 16;
+
+    long checked = 0;
+    long rejected = 0;
+    for (const Machine &m :
+         {Machine::p1l4(), Machine::p2l4(), Machine::p2l6()}) {
+        for (const SuiteLoop &loop : suite) {
+            const PipelineResult r =
+                pipelineLoop(loop.graph, m, Strategy::Spill, opts);
+            const Ddg &g = r.graph();
+            for (const Schedule &s : {r.sched, scheduleAcyclic(g, m)}) {
+                const std::string where =
+                    g.name() + " on " + m.name() + " at II " +
+                    std::to_string(s.ii());
+                EXPECT_TRUE(expectSameVerdict(g, m, s, where));
+                for (NodeId n = 0; n < g.numNodes(); ++n) {
+                    for (int dt = -2; dt <= 2; ++dt) {
+                        if (dt == 0)
+                            continue;
+                        const Schedule mutant =
+                            withCycle(s, n, s.time(n) + dt);
+                        rejected += !expectSameVerdict(
+                            g, m, mutant,
+                            where + " node " + std::to_string(n) +
+                                " moved by " + std::to_string(dt));
+                        ++checked;
+                    }
+                    const int units =
+                        m.unitsInClass(m.classOf(g.node(n).op));
+                    for (int u = -1; u <= units; ++u) {
+                        if (u == s.unit(n))
+                            continue;
+                        rejected += !expectSameVerdict(
+                            g, m, withUnit(s, n, u),
+                            where + " node " + std::to_string(n) +
+                                " on unit " + std::to_string(u));
+                        ++checked;
+                    }
+                }
+            }
+        }
+    }
+    // The mutants exercise every failure kind, not only acceptance.
+    EXPECT_GT(rejected, checked / 4);
+    EXPECT_LT(rejected, checked);
 }
 
 TEST(FormatSchedule, MentionsKernelAndCycles)
