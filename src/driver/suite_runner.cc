@@ -93,25 +93,13 @@ SuiteRunner::bounds(const Ddg &g, const Machine &m, std::uint64_t machineFp)
             CachedBounds c;
             c.b.recMii = recMii(g, m);
             c.b.mii = std::max(resMii(g, m), c.b.recMii);
-            if (kVerifyMemoKeys) {
-                c.graph = g;
-                c.machine = m;
-            }
+            if (kVerifyMemoKeys)
+                c.witness.record(g, m);
             return c;
         },
         [&](const CachedBounds &hit) {
-            if (!kVerifyMemoKeys)
-                return;
-            SWP_ASSERT(hit.graph &&
-                           graphsFingerprintEquivalent(g, *hit.graph),
-                       "bounds memo fingerprint collision: graph '",
-                       g.name(),
-                       "' hit an entry built from a different graph");
-            SWP_ASSERT(hit.machine &&
-                           machinesFingerprintEquivalent(m, *hit.machine),
-                       "bounds memo fingerprint collision: machine '",
-                       m.name(),
-                       "' hit an entry built from a different machine");
+            if (kVerifyMemoKeys)
+                hit.witness.verify(g, m, "bounds memo");
         });
     return cached.b;
 }

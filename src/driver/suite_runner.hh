@@ -55,7 +55,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,6 +63,7 @@
 #include "machine/machine.hh"
 #include "pipeliner/pipeliner.hh"
 #include "regalloc/alloc_memo.hh"
+#include "sched/fingerprint.hh"
 #include "sched/sched_memo.hh"
 #include "support/singleflight.hh"
 #include "verify/certify.hh"
@@ -313,13 +313,12 @@ class SuiteRunner
     int threads_ = 1;
     bool memoizeSchedules_ = true;
 
-    /** Bounds memo entry; the graph/machine copies (O(1), CoW) verify
-        memo hits against fingerprint collisions in debug builds. */
+    /** Bounds memo entry; the witness verifies memo hits against
+        fingerprint collisions in debug builds. */
     struct CachedBounds
     {
         LoopBounds b;
-        std::optional<Ddg> graph;
-        std::optional<Machine> machine;
+        KeyWitness witness;
     };
     SingleFlightCache<std::pair<std::uint64_t, std::uint64_t>,
                       CachedBounds>

@@ -49,19 +49,16 @@ opcodeName(Opcode op)
     SWP_PANIC("unknown opcode ", int(op));
 }
 
-Opcode
-parseOpcode(const std::string &name)
+bool
+parseOpcode(const std::string &name, Opcode &out)
 {
-    if (name == "ld") return Opcode::Load;
-    if (name == "st") return Opcode::Store;
-    if (name == "add") return Opcode::Add;
-    if (name == "mul") return Opcode::Mul;
-    if (name == "div") return Opcode::Div;
-    if (name == "sqrt") return Opcode::Sqrt;
-    if (name == "copy") return Opcode::Copy;
-    if (name == "nop") return Opcode::Nop;
-    if (name == "sel") return Opcode::Select;
-    SWP_FATAL("unknown opcode mnemonic '", name, "'");
+    for (int op = 0; op < numOpcodes; ++op) {
+        if (name == opcodeName(Opcode(op))) {
+            out = Opcode(op);
+            return true;
+        }
+    }
+    return false;
 }
 
 const char *

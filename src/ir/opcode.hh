@@ -54,8 +54,11 @@ bool producesValue(Opcode op);
 /** Short mnemonic ("ld", "st", "add", ...). */
 const char *opcodeName(Opcode op);
 
-/** Parse a mnemonic; throws FatalError for unknown names. */
-Opcode parseOpcode(const std::string &name);
+/**
+ * Look up a mnemonic; false (out untouched) for unknown names, so each
+ * text parser reports them with its own line number.
+ */
+bool parseOpcode(const std::string &name, Opcode &out);
 
 /** Printable functional-unit class name. */
 const char *fuClassName(FuClass fu);

@@ -1,11 +1,11 @@
 #include "machine/machdesc.hh"
 
 #include <climits>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "support/diag.hh"
+#include "support/strutil.hh"
 
 namespace swp
 {
@@ -13,42 +13,12 @@ namespace swp
 namespace
 {
 
-/** Non-throwing counterpart of parseOpcode: -1 for unknown mnemonics. */
-int
-opcodeIndex(const std::string &mnemonic)
-{
-    for (int op = 0; op < numOpcodes; ++op) {
-        if (mnemonic == opcodeName(Opcode(op)))
-            return op;
-    }
-    return -1;
-}
-
-std::string
-trim(const std::string &s)
-{
-    std::size_t b = s.find_first_not_of(" \t\r");
-    if (b == std::string::npos)
-        return "";
-    std::size_t e = s.find_last_not_of(" \t\r");
-    return s.substr(b, e - b + 1);
-}
-
-/** Parse a decimal integer token; false if the token is not a number. */
-bool
-parseInt(const std::string &tok, int &out)
-{
-    if (tok.empty())
-        return false;
-    char *end = nullptr;
-    long v = std::strtol(tok.c_str(), &end, 10);
-    if (end != tok.c_str() + tok.size())
-        return false;
-    if (v < INT_MIN || v > INT_MAX)
-        return false;
-    out = int(v);
-    return true;
-}
+/**
+ * Largest opcode latency. Schedule times and II bounds are sums of
+ * latencies in int arithmetic; the shipped descriptions top out at 60,
+ * so the cap leaves a loop of any realistic size far from overflow.
+ */
+constexpr int kMaxLatency = 4096;
 
 /** Accumulates directives and end-of-text consistency checks. */
 class MachParser
@@ -142,7 +112,7 @@ class MachParser
             return;
         }
         int count = 0;
-        if (!parseInt(countTok, count)) {
+        if (!parseIntInRange(countTok, INT_MIN, INT_MAX, count)) {
             diag(lineNo, "class '" + name + "': expected an integer unit "
                          "count, got '" + countTok + "'");
             return;
@@ -176,11 +146,12 @@ class MachParser
                          "<class> <latency>)");
             return;
         }
-        int op = opcodeIndex(mnemonic);
-        if (op < 0) {
+        Opcode opcode;
+        if (!parseOpcode(mnemonic, opcode)) {
             diag(lineNo, "unknown opcode '" + mnemonic + "'");
             return;
         }
+        const int op = int(opcode);
         int cls = classIndex(className);
         if (cls < 0) {
             diag(lineNo, "unknown class '" + className + "'");
@@ -191,7 +162,7 @@ class MachParser
             return;
         }
         int lat = 0;
-        if (!parseInt(latTok, lat)) {
+        if (!parseIntInRange(latTok, INT_MIN, INT_MAX, lat)) {
             diag(lineNo, "opcode '" + mnemonic + "': expected an integer "
                          "latency, got '" + latTok + "'");
             return;
@@ -199,6 +170,12 @@ class MachParser
         if (lat <= 0) {
             diag(lineNo, "opcode '" + mnemonic + "' needs a positive "
                          "latency, got " + latTok);
+            return;
+        }
+        if (lat > kMaxLatency) {
+            diag(lineNo, "opcode '" + mnemonic + "' exceeds the " +
+                             std::to_string(kMaxLatency) +
+                             "-cycle latency cap, got " + latTok);
             return;
         }
         opBound_[op] = true;

@@ -86,6 +86,24 @@ machinesFingerprintEquivalent(const Machine &a, const Machine &b)
     return a == b;
 }
 
+void
+KeyWitness::record(const Ddg &g, const Machine &m)
+{
+    graph_ = g;
+    machine_ = m;
+}
+
+void
+KeyWitness::verify(const Ddg &g, const Machine &m, const char *what) const
+{
+    SWP_ASSERT(graph_ && graphsFingerprintEquivalent(g, *graph_), what,
+               " fingerprint collision: graph '", g.name(),
+               "' hit an entry built from a different graph");
+    SWP_ASSERT(machine_ && machinesFingerprintEquivalent(m, *machine_),
+               what, " fingerprint collision: machine '", m.name(),
+               "' hit an entry built from a different machine");
+}
+
 bool
 GraphMachineKey::matches(const Ddg &g, const Machine &m,
                          const char *what) const
@@ -94,14 +112,8 @@ GraphMachineKey::matches(const Ddg &g, const Machine &m,
         machineFp_ != machineFingerprint(m)) {
         return false;
     }
-    if (kVerifyMemoKeys) {
-        SWP_ASSERT(graph_ && graphsFingerprintEquivalent(g, *graph_), what,
-                   " fingerprint collision: graph '", g.name(),
-                   "' hit an entry built from a different graph");
-        SWP_ASSERT(machine_ && machinesFingerprintEquivalent(m, *machine_),
-                   what, " fingerprint collision: machine '", m.name(),
-                   "' hit an entry built from a different machine");
-    }
+    if (kVerifyMemoKeys)
+        witness_.verify(g, m, what);
     return true;
 }
 
@@ -110,10 +122,8 @@ GraphMachineKey::bind(const Ddg &g, const Machine &m)
 {
     graphFp_ = graphFingerprint(g);
     machineFp_ = machineFingerprint(m);
-    if (kVerifyMemoKeys) {
-        graph_ = g;
-        machine_ = m;
-    }
+    if (kVerifyMemoKeys)
+        witness_.record(g, m);
     valid_ = true;
 }
 

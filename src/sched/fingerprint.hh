@@ -90,12 +90,31 @@ bool graphsFingerprintEquivalent(const Ddg &a, const Ddg &b);
 bool machinesFingerprintEquivalent(const Machine &a, const Machine &b);
 
 /**
+ * The (graph, machine) pair a fingerprint-keyed cache entry was built
+ * from, kept for key verification: record() takes O(1) copy-on-write
+ * copies of both, and verify() panics unless a lookup that hit the
+ * entry asked for a structurally equal pair, so a 64-bit collision
+ * fails loudly instead of answering for another loop. Every
+ * (graph, machine)-keyed cache records one when it verifies its keys.
+ */
+class KeyWitness
+{
+  public:
+    void record(const Ddg &g, const Machine &m);
+
+    /** `what` names the cache in the collision panic. */
+    void verify(const Ddg &g, const Machine &m, const char *what) const;
+
+  private:
+    std::optional<Ddg> graph_;
+    std::optional<Machine> machine_;
+};
+
+/**
  * Identity of a single-slot per-graph cache (the scheduler workspace's
- * recurrence decomposition and HRMS plan): the (graph, machine)
- * fingerprints of the inputs the slot was built from. Release builds
- * trust the 64-bit hashes; debug builds keep O(1) copy-on-write copies
- * of both inputs and verify every hit structurally, so a collision
- * panics instead of answering for another loop.
+ * plan): the (graph, machine) fingerprints of the inputs the slot was
+ * built from. Release builds trust the 64-bit hashes; debug builds
+ * keep a KeyWitness and verify every hit structurally.
  */
 class GraphMachineKey
 {
@@ -116,8 +135,7 @@ class GraphMachineKey
     bool valid_ = false;
     std::uint64_t graphFp_ = 0;
     std::uint64_t machineFp_ = 0;
-    std::optional<Ddg> graph_;
-    std::optional<Machine> machine_;
+    KeyWitness witness_;
 };
 
 } // namespace swp

@@ -1,14 +1,10 @@
 #include "sched/hrms.hh"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
 
-#include "ir/graph_algo.hh"
 #include "sched/groups.hh"
-#include "sched/mii.hh"
 #include "sched/mrt.hh"
+#include "sched/sched_plan.hh"
 #include "sched/sched_util.hh"
 #include "support/bitmatrix.hh"
 #include "support/diag.hh"
@@ -21,162 +17,6 @@ namespace
 
 constexpr long negInf = schedNegInf;
 constexpr long posInf = schedPosInf;
-
-/** Recurrence components (group indices) with their criticality. */
-using RankedRecurrences = std::vector<std::pair<int, std::vector<int>>>;
-
-/**
- * Stable-topologically reorder recurrence components along
- * zero-distance reachability, keeping criticality order among unrelated
- * components: if comp A has a zero-distance path into comp B, A must be
- * placed first. Otherwise a member of A with a placed zero-distance
- * successor in B faces a fixed gap that no II can widen (carried edges
- * gain slack with II; zero-distance ones never do). Always makes
- * progress: a zero-distance cycle between distinct components would be
- * a zero-distance cycle in the graph, which verifyDdg forbids.
- */
-void
-orderCompsByZeroDistance(RankedRecurrences &comps, const BitMatrix &reach0)
-{
-    auto reaches0 = [&](const std::vector<int> &from,
-                        const std::vector<int> &to) {
-        for (const int a : from) {
-            for (const int b : to) {
-                if (reach0.test(a, b))
-                    return true;
-            }
-        }
-        return false;
-    };
-
-    RankedRecurrences ordered;
-    std::vector<bool> taken(comps.size(), false);
-    for (std::size_t step = 0; step < comps.size(); ++step) {
-        int pick = -1;
-        for (std::size_t i = 0; i < comps.size() && pick < 0; ++i) {
-            if (taken[i])
-                continue;
-            bool ready = true;
-            for (std::size_t j = 0; j < comps.size(); ++j) {
-                if (j == i || taken[j])
-                    continue;
-                if (reaches0(comps[j].second, comps[i].second)) {
-                    ready = false;
-                    break;
-                }
-            }
-            if (ready)
-                pick = int(i);
-        }
-        SWP_ASSERT(pick >= 0, "zero-distance cycle between recurrences");
-        taken[std::size_t(pick)] = true;
-        ordered.push_back(std::move(comps[std::size_t(pick)]));
-    }
-    comps = std::move(ordered);
-}
-
-/**
- * Build the II-independent plan of (g, m): complex groups, the condensed
- * group graph with its deduplicated adjacency (duplicate (a, b) pairs
- * are filtered by the bit-row mirrors instead of a list scan) and
- * word-packed reachability, and the recurrences ranked for placement.
- */
-void
-buildPlan(const Ddg &g, const Machine &m, HrmsPlan &plan)
-{
-    GroupSet &groups = plan.groups;
-    groups.reset(g, m);
-    const int n = groups.numGroups();
-
-    plan.succ.reset(n);
-    plan.succ0.reset(n);
-    plan.predMask.reset(n, n);
-    plan.succMask.reset(n, n);
-    plan.pred0Mask.reset(n, n);
-    for (EdgeId e = 0; e < g.numEdges(); ++e) {
-        const Edge &edge = g.edge(e);
-        if (!edge.alive)
-            continue;
-        const int a = groups.groupOf(edge.src);
-        const int b = groups.groupOf(edge.dst);
-        if (a == b)
-            continue;
-        if (!plan.succMask.test(a, b)) {
-            plan.succMask.set(a, b);
-            plan.predMask.set(b, a);
-            plan.succ[a].push_back(b);
-        }
-        if (edge.distance == 0 && !plan.pred0Mask.test(b, a)) {
-            plan.pred0Mask.set(b, a);
-            plan.succ0[a].push_back(b);
-        }
-    }
-    transitiveClosure(plan.succ.rows, n, plan.reach, plan.dfsStack);
-
-    // Recurrences, most critical (criticality = RecMII of the
-    // component) first. The SCC decomposition is the shared graph-algo
-    // Tarjan over the condensed adjacency; only recurrence components
-    // are materialized as vectors.
-    const AdjScc scc = stronglyConnectedComponents(plan.succ.rows, n);
-    RankedRecurrences ranked;
-    std::vector<NodeId> nodes;
-    plan.recMii = 1;
-    for (int c = 0; c < scc.numComps(); ++c) {
-        if (!scc.cyclic(c))
-            continue;
-        const int *members = scc.compNodes(c);
-        std::vector<int> comp(members, members + scc.compSize(c));
-        nodes.clear();
-        for (const int gi : comp) {
-            const ComplexGroup &grp = groups.group(gi);
-            nodes.insert(nodes.end(), grp.members.begin(),
-                         grp.members.end());
-        }
-        const int crit = recMiiOfComponent(g, m, nodes);
-        plan.recMii = std::max(plan.recMii, crit);
-        ranked.emplace_back(crit, std::move(comp));
-    }
-    std::stable_sort(ranked.begin(), ranked.end(),
-                     [](const auto &a, const auto &b) {
-                         if (a.first != b.first)
-                             return a.first > b.first;
-                         return a.second.size() > b.second.size();
-                     });
-    if (ranked.size() >= 2) {
-        transitiveClosure(plan.succ0.rows, n, plan.reach0, plan.dfsStack);
-        orderCompsByZeroDistance(ranked, plan.reach0);
-    }
-
-    plan.recurrences.resize(ranked.size());
-    for (std::size_t i = 0; i < ranked.size(); ++i)
-        plan.recurrences[i] = std::move(ranked[i].second);
-}
-
-/** The plan of (g, m), rebuilt only when the workspace holds another's. */
-const HrmsPlan &
-planFor(const Ddg &g, const Machine &m, HrmsPlan &plan)
-{
-    if (!plan.key.matches(g, m, "HRMS plan")) {
-        plan.key.clear();
-        buildPlan(g, m, plan);
-        plan.key.bind(g, m);
-    }
-    return plan;
-}
-
-/**
- * The recurrence check of a probe. A dependence cycle through two or
- * more groups lies in one recurrence of the plan, so ii >= the plan's
- * RecMII fits it; a cycle inside one group (a self-loop included) is
- * checked edge by edge by groupsInternallyFeasible, which also rejects
- * groups whose fixed offsets cannot meet their internal edges.
- */
-bool
-iiFitsPlan(const Ddg &g, const Machine &m, const HrmsPlan &plan, int ii)
-{
-    return ii >= plan.recMii &&
-           groupsInternallyFeasible(g, m, plan.groups, ii);
-}
 
 /**
  * Scheduling context shared by the ordering and placement phases of
@@ -191,12 +31,12 @@ struct HrmsContext
     const Machine &m;
     const int ii;
     SchedWorkspace &ws;
-    const HrmsPlan &plan;
+    const SchedPlan &plan;
     const GroupSet &groups;  ///< plan.groups.
     const int n;             ///< Number of complex groups.
 
     HrmsContext(const Ddg &graph, const Machine &mach, int interval,
-                SchedWorkspace &workspace, const HrmsPlan &p)
+                SchedWorkspace &workspace, const SchedPlan &p)
         : g(graph),
           m(mach),
           ii(interval),
@@ -205,19 +45,7 @@ struct HrmsContext
           groups(p.groups),
           n(p.groups.numGroups())
     {
-        ws.prio.compute(g, m, ii);
-        ws.gAsap.assign(std::size_t(n), negInf);
-        ws.gHeight.assign(std::size_t(n), negInf);
-        for (NodeId v = 0; v < g.numNodes(); ++v) {
-            const int gi = groups.groupOf(v);
-            const long off = groups.offsetOf(v);
-            ws.gAsap[std::size_t(gi)] =
-                std::max(ws.gAsap[std::size_t(gi)],
-                         ws.prio.asap[std::size_t(v)] - off);
-            ws.gHeight[std::size_t(gi)] =
-                std::max(ws.gHeight[std::size_t(gi)],
-                         ws.prio.height[std::size_t(v)] + off);
-        }
+        ws.prio.compute(g, m, groups, ii);
     }
 };
 
@@ -250,7 +78,7 @@ class Ordering
 {
   public:
     explicit Ordering(HrmsContext &ctx)
-        : ctx_(ctx), ws_(ctx.ws), plan_(ctx.plan)
+        : ctx_(ctx), ws_(ctx.ws), plan_(ctx.plan), prio_(ctx.ws.prio)
     {
     }
 
@@ -335,10 +163,10 @@ class Ordering
                     if (ws_.orderedMask.test(v))
                         continue;
                     if (best < 0 ||
-                        ws_.gAsap[std::size_t(v)] +
-                                ws_.gHeight[std::size_t(v)] >
-                            ws_.gAsap[std::size_t(best)] +
-                                ws_.gHeight[std::size_t(best)]) {
+                        prio_.asap[std::size_t(v)] +
+                                prio_.height[std::size_t(v)] >
+                            prio_.asap[std::size_t(best)] +
+                                prio_.height[std::size_t(best)]) {
                         best = v;
                     }
                 }
@@ -389,11 +217,11 @@ class Ordering
     sortByCriticality(std::vector<int> &set) const
     {
         std::stable_sort(set.begin(), set.end(), [&](int a, int b) {
-            if (ws_.gAsap[std::size_t(a)] != ws_.gAsap[std::size_t(b)])
-                return ws_.gAsap[std::size_t(a)] <
-                       ws_.gAsap[std::size_t(b)];
-            return ws_.gHeight[std::size_t(a)] >
-                   ws_.gHeight[std::size_t(b)];
+            if (prio_.asap[std::size_t(a)] != prio_.asap[std::size_t(b)])
+                return prio_.asap[std::size_t(a)] <
+                       prio_.asap[std::size_t(b)];
+            return prio_.height[std::size_t(a)] >
+                   prio_.height[std::size_t(b)];
         });
     }
 
@@ -476,11 +304,11 @@ class Ordering
     {
         // Latest groups first: descending ASAP, ascending height.
         std::stable_sort(set.begin(), set.end(), [&](int a, int b) {
-            if (ws_.gAsap[std::size_t(a)] != ws_.gAsap[std::size_t(b)])
-                return ws_.gAsap[std::size_t(a)] >
-                       ws_.gAsap[std::size_t(b)];
-            return ws_.gHeight[std::size_t(a)] <
-                   ws_.gHeight[std::size_t(b)];
+            if (prio_.asap[std::size_t(a)] != prio_.asap[std::size_t(b)])
+                return prio_.asap[std::size_t(a)] >
+                       prio_.asap[std::size_t(b)];
+            return prio_.height[std::size_t(a)] <
+                   prio_.height[std::size_t(b)];
         });
         ws_.remainMask.reset(ctx_.n);
         for (const int v : set)
@@ -510,7 +338,8 @@ class Ordering
 
     HrmsContext &ctx_;
     SchedWorkspace &ws_;
-    const HrmsPlan &plan_;
+    const SchedPlan &plan_;
+    const GroupPriorities &prio_;
 };
 
 /** The placement phase. */
@@ -583,7 +412,7 @@ place(HrmsContext &ctx, const std::vector<int> &order)
                 }
             }
         } else {
-            const long start = ctx.ws.gAsap[std::size_t(gi)];
+            const long start = ctx.ws.prio.asap[std::size_t(gi)];
             for (long t = start; t < start + ctx.ii; ++t) {
                 if (mrt.placeGroup(ctx.g, grp, int(t), sched)) {
                     placed = true;
@@ -591,33 +420,8 @@ place(HrmsContext &ctx, const std::vector<int> &order)
                 }
             }
         }
-        if (!placed) {
-            // Read-only debug toggle; nothing in the process calls
-            // setenv, so the getenv race mt-unsafe guards against
-            // cannot arise.
-            if (std::getenv("SWP_HRMS_DEBUG")) {  // NOLINT(concurrency-mt-unsafe)
-                int placedCount = 0;
-                for (NodeId v = 0; v < ctx.g.numNodes(); ++v)
-                    placedCount += sched.scheduled(v);
-                std::fprintf(stderr,
-                             "HRMS fail ii=%d group=%d (%s) early=%ld "
-                             "late=%ld hasPred=%d hasSucc=%d placed=%d/%d"
-                             " members=%zu\n",
-                             ctx.ii, gi,
-                             ctx.g.node(grp.members[0]).name.c_str(),
-                             early, late, int(hasPred), int(hasSucc),
-                             placedCount, ctx.g.numNodes(),
-                             grp.members.size());
-                for (std::size_t i = 0; i < grp.members.size(); ++i) {
-                    std::fprintf(stderr, "  member %s off=%d op=%s\n",
-                                 ctx.g.node(grp.members[i]).name.c_str(),
-                                 grp.offsets[i],
-                                 opcodeName(ctx.g.node(
-                                     grp.members[i]).op));
-                }
-            }
+        if (!placed)
             return std::nullopt;
-        }
     }
 
     sched.normalize();
@@ -631,7 +435,7 @@ HrmsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 {
     if (g.numNodes() == 0)
         return std::nullopt;
-    const HrmsPlan &plan = planFor(g, m, ws_.hrms);
+    const SchedPlan &plan = planFor(g, m, ws_.plan);
     if (!iiFitsPlan(g, m, plan, ii))
         return std::nullopt;
 
@@ -651,17 +455,10 @@ HrmsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
     return sched;
 }
 
-bool
-HrmsScheduler::passesRecurrenceCheckForTest(const Ddg &g, const Machine &m,
-                                            int ii)
-{
-    return iiFitsPlan(g, m, planFor(g, m, ws_.hrms), ii);
-}
-
 std::vector<int>
 HrmsScheduler::orderingForTest(const Ddg &g, const Machine &m, int ii)
 {
-    HrmsContext ctx(g, m, ii, ws_, planFor(g, m, ws_.hrms));
+    HrmsContext ctx(g, m, ii, ws_, planFor(g, m, ws_.plan));
     Ordering ordering(ctx);
     return ordering.run();
 }

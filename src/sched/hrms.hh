@@ -51,15 +51,6 @@ class HrmsScheduler : public ModuloScheduler
     std::vector<int> orderingForTest(const Ddg &g, const Machine &m,
                                      int ii);
 
-    /**
-     * Expose the recurrence check for tests: false if scheduleAt
-     * rejects `ii` before ordering, because a dependence cycle needs
-     * more than `ii` cycles per iteration or a complex group's fixed
-     * offsets cannot meet its internal edges at `ii`.
-     */
-    bool passesRecurrenceCheckForTest(const Ddg &g, const Machine &m,
-                                      int ii);
-
   private:
     /** Scratch reused across probes, plus the per-graph plan that
         consecutive probes of one (graph, machine) pair share. */

@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "sched/groups.hh"
-#include "sched/mii.hh"
 #include "sched/mrt.hh"
+#include "sched/sched_plan.hh"
 #include "sched/sched_util.hh"
 #include "support/diag.hh"
 
@@ -16,32 +16,16 @@ ImsScheduler::scheduleAt(const Ddg &g, const Machine &m, int ii)
 {
     if (g.numNodes() == 0)
         return std::nullopt;
-    if (!iiFeasibleForRecurrences(g, m, ii, ws_.recurrences))
+    const SchedPlan &plan = planFor(g, m, ws_.plan);
+    if (!iiFitsPlan(g, m, plan, ii))
         return std::nullopt;
 
-    ws_.groups.reset(g, m);
-    const GroupSet &groups = ws_.groups;
-    if (!groupsInternallyFeasible(g, m, groups, ii))
-        return std::nullopt;
-
-    ws_.prio.compute(g, m, ii);
-    const NodePriorities &prio = ws_.prio;
+    const GroupSet &groups = plan.groups;
     const int ng = groups.numGroups();
-
+    ws_.prio.compute(g, m, groups, ii);
     // Group priority: the tallest member, anchor-adjusted.
-    std::vector<long> &gHeight = ws_.gHeight;
-    std::vector<long> &gAsap = ws_.gAsap;
-    gHeight.assign(std::size_t(ng), schedNegInf);
-    gAsap.assign(std::size_t(ng), schedNegInf);
-    for (NodeId v = 0; v < g.numNodes(); ++v) {
-        const int gi = groups.groupOf(v);
-        gHeight[std::size_t(gi)] = std::max(
-            gHeight[std::size_t(gi)],
-            prio.height[std::size_t(v)] + groups.offsetOf(v));
-        gAsap[std::size_t(gi)] = std::max(
-            gAsap[std::size_t(gi)],
-            prio.asap[std::size_t(v)] - groups.offsetOf(v));
-    }
+    const std::vector<long> &gHeight = ws_.prio.height;
+    const std::vector<long> &gAsap = ws_.prio.asap;
 
     Schedule sched(ii, g.numNodes());
     Mrt &mrt = ws_.mrt;

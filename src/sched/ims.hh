@@ -40,7 +40,8 @@ class ImsScheduler : public ModuloScheduler
 
   private:
     int budgetRatio_;
-    /** Scratch reused across probes; carries no cross-probe state. */
+    /** Scratch reused across probes, plus the per-graph plan that
+        consecutive probes of one (graph, machine) pair share. */
     SchedWorkspace ws_;
 };
 

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "ir/graph_algo.hh"
-#include "sched/fingerprint.hh"
 #include "support/diag.hh"
 
 namespace swp
@@ -210,52 +209,6 @@ int
 mii(const Ddg &g, const Machine &m)
 {
     return std::max(resMii(g, m), recMii(g, m));
-}
-
-bool
-iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii)
-{
-    std::vector<long> dist;
-    for (const CyclicRegion &r : cyclicRegions(g, m)) {
-        if (hasPositiveCycle(r, ii, dist))
-            return false;
-    }
-    return true;
-}
-
-/** The cached decomposition plus its Bellman-Ford scratch. */
-struct RecurrenceCache::Impl
-{
-    GraphMachineKey key;
-    std::vector<CyclicRegion> regions;
-    std::vector<long> dist;
-};
-
-RecurrenceCache::RecurrenceCache() = default;
-RecurrenceCache::~RecurrenceCache() = default;
-RecurrenceCache::RecurrenceCache(RecurrenceCache &&) noexcept = default;
-RecurrenceCache &
-RecurrenceCache::operator=(RecurrenceCache &&) noexcept = default;
-
-bool
-iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii,
-                         RecurrenceCache &cache)
-{
-    if (!cache.impl_)
-        cache.impl_ = std::make_unique<RecurrenceCache::Impl>();
-    RecurrenceCache::Impl &c = *cache.impl_;
-
-    if (!c.key.matches(g, m, "recurrence cache")) {
-        c.key.clear();
-        c.regions = cyclicRegions(g, m);
-        c.key.bind(g, m);
-    }
-
-    for (const CyclicRegion &r : c.regions) {
-        if (hasPositiveCycle(r, ii, c.dist))
-            return false;
-    }
-    return true;
 }
 
 } // namespace swp

@@ -16,7 +16,7 @@
 #ifndef SWP_SCHED_MII_HH
 #define SWP_SCHED_MII_HH
 
-#include <memory>
+#include <vector>
 
 #include "ir/ddg.hh"
 #include "machine/machine.hh"
@@ -36,40 +36,6 @@ int recMiiOfComponent(const Ddg &g, const Machine &m,
 
 /** MII = max(ResMII, RecMII). */
 int mii(const Ddg &g, const Machine &m);
-
-/**
- * True if scheduling the graph at the given II admits no positive
- * dependence cycle, i.e. II >= RecMII. Exposed for tests.
- */
-bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii);
-
-/**
- * Cached cyclic-SCC decomposition of one (graph, machine) pair, keyed
- * by the structural fingerprints, so consecutive feasibility probes of
- * the same loop — an II search issues many — pay only the
- * component-local Bellman-Ford sweeps, not the decomposition. IMS keeps
- * one in its workspace (HRMS checks recurrences through its per-graph
- * plan instead). Debug builds verify every reuse structurally, so a
- * fingerprint collision panics instead of answering for another loop.
- */
-class RecurrenceCache
-{
-  public:
-    RecurrenceCache();
-    ~RecurrenceCache();
-    RecurrenceCache(RecurrenceCache &&) noexcept;
-    RecurrenceCache &operator=(RecurrenceCache &&) noexcept;
-
-  private:
-    friend bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m,
-                                         int ii, RecurrenceCache &cache);
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
-/** iiFeasibleForRecurrences with the decomposition reused via `cache`. */
-bool iiFeasibleForRecurrences(const Ddg &g, const Machine &m, int ii,
-                              RecurrenceCache &cache);
 
 } // namespace swp
 

@@ -24,25 +24,13 @@ ScheduleMemo::scheduleAt(ModuloScheduler &inner, SchedulerKind kind,
         [&]() {
             CachedProbe p;
             p.sched = inner.scheduleAt(g, m, ii);
-            if (verifyKeys_) {
-                p.graph = g;
-                p.machine = m;
-            }
+            if (verifyKeys_)
+                p.witness.record(g, m);
             return p;
         },
         [&](const CachedProbe &hit) {
-            if (!verifyKeys_)
-                return;
-            SWP_ASSERT(hit.graph &&
-                           graphsFingerprintEquivalent(g, *hit.graph),
-                       "schedule memo fingerprint collision: graph '",
-                       g.name(), "' at II ", ii,
-                       " hit an entry built from a different graph");
-            SWP_ASSERT(hit.machine &&
-                           machinesFingerprintEquivalent(m, *hit.machine),
-                       "schedule memo fingerprint collision: machine '",
-                       m.name(), "' hit an entry built from a different",
-                       " machine");
+            if (verifyKeys_)
+                hit.witness.verify(g, m, "schedule memo");
         });
     return std::move(probe.sched);
 }

@@ -1,16 +1,19 @@
 #include "sched/sched_util.hh"
 
+#include <algorithm>
+
 #include "sched/groups.hh"
 
 namespace swp
 {
 
 void
-NodePriorities::compute(const Ddg &g, const Machine &m, int ii)
+GroupPriorities::compute(const Ddg &g, const Machine &m,
+                         const GroupSet &groups, int ii)
 {
-    asap.assign(std::size_t(g.numNodes()), 0);
-    height.assign(std::size_t(g.numNodes()), 0);
     const int n = g.numNodes();
+    nodeAsap_.assign(std::size_t(n), 0);
+    nodeHeight_.assign(std::size_t(n), 0);
     for (int iter = 0; iter < n; ++iter) {
         bool changed = false;
         for (EdgeId e = 0; e < g.numEdges(); ++e) {
@@ -19,21 +22,31 @@ NodePriorities::compute(const Ddg &g, const Machine &m, int ii)
                 continue;
             const long w = m.latency(g.node(edge.src).op) -
                            long(ii) * edge.distance;
-            if (asap[std::size_t(edge.src)] + w >
-                asap[std::size_t(edge.dst)]) {
-                asap[std::size_t(edge.dst)] =
-                    asap[std::size_t(edge.src)] + w;
+            if (nodeAsap_[std::size_t(edge.src)] + w >
+                nodeAsap_[std::size_t(edge.dst)]) {
+                nodeAsap_[std::size_t(edge.dst)] =
+                    nodeAsap_[std::size_t(edge.src)] + w;
                 changed = true;
             }
-            if (height[std::size_t(edge.dst)] + w >
-                height[std::size_t(edge.src)]) {
-                height[std::size_t(edge.src)] =
-                    height[std::size_t(edge.dst)] + w;
+            if (nodeHeight_[std::size_t(edge.dst)] + w >
+                nodeHeight_[std::size_t(edge.src)]) {
+                nodeHeight_[std::size_t(edge.src)] =
+                    nodeHeight_[std::size_t(edge.dst)] + w;
                 changed = true;
             }
         }
         if (!changed)
             break;
+    }
+
+    asap.assign(std::size_t(groups.numGroups()), schedNegInf);
+    height.assign(std::size_t(groups.numGroups()), schedNegInf);
+    for (NodeId v = 0; v < n; ++v) {
+        const std::size_t gi = std::size_t(groups.groupOf(v));
+        const long off = groups.offsetOf(v);
+        asap[gi] = std::max(asap[gi], nodeAsap_[std::size_t(v)] - off);
+        height[gi] =
+            std::max(height[gi], nodeHeight_[std::size_t(v)] + off);
     }
 }
 

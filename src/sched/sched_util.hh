@@ -1,7 +1,7 @@
 /**
  * @file
- * Helpers shared by the modulo scheduling algorithms: longest-path
- * priorities at a given II and complex-group feasibility checks.
+ * Helpers shared by the modulo scheduling algorithms: group priorities
+ * at a given II and the complex-group feasibility check.
  */
 
 #ifndef SWP_SCHED_SCHED_UTIL_HH
@@ -21,25 +21,26 @@ constexpr long schedNegInf = std::numeric_limits<long>::min() / 4;
 constexpr long schedPosInf = std::numeric_limits<long>::max() / 4;
 
 /**
- * Per-node ASAP and height longest paths with edge weight
- * latency(src) - II * distance. Only meaningful when II >= RecMII
- * (no positive cycles); computed by Bellman-Ford-style relaxation.
+ * Anchor-relative priorities of the complex groups at one II, shared
+ * by both schedulers. Node ASAP and height are longest paths with edge
+ * weight latency(src) - II * distance (Bellman-Ford-style relaxation;
+ * only meaningful when II >= RecMII, i.e. with no positive cycles). A
+ * group's ASAP is the latest member ASAP minus the member's offset, its
+ * height the tallest member height plus the member's offset.
  */
-struct NodePriorities
+struct GroupPriorities
 {
+    /** Per group index. */
     std::vector<long> asap;
     std::vector<long> height;
 
-    /** Empty; compute() fills it (workspace reuse across probes). */
-    NodePriorities() = default;
+    /** Recompute for (g, m, groups, ii); the buffers are reused. */
+    void compute(const Ddg &g, const Machine &m, const GroupSet &groups,
+                 int ii);
 
-    NodePriorities(const Ddg &g, const Machine &m, int ii)
-    {
-        compute(g, m, ii);
-    }
-
-    /** Recompute for (g, m, ii); the buffers are reused, not grown. */
-    void compute(const Ddg &g, const Machine &m, int ii);
+  private:
+    /** Per-node longest paths. */
+    std::vector<long> nodeAsap_, nodeHeight_;
 };
 
 /**

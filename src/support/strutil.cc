@@ -6,8 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "support/diag.hh"
-
 namespace swp
 {
 
@@ -56,19 +54,6 @@ splitWs(const std::string &s)
             out.push_back(s.substr(start, i - start));
     }
     return out;
-}
-
-long
-parseLong(const std::string &s)
-{
-    const std::string t = trim(s);
-    if (t.empty())
-        SWP_FATAL("expected integer, got empty string");
-    char *end = nullptr;
-    const long v = std::strtol(t.c_str(), &end, 10);
-    if (end == t.c_str() || *end != '\0')
-        SWP_FATAL("expected integer, got '", t, "'");
-    return v;
 }
 
 bool

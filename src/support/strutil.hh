@@ -24,9 +24,6 @@ std::vector<std::string> split(const std::string &s, char delim);
 /** Split on arbitrary whitespace, dropping empty fields. */
 std::vector<std::string> splitWs(const std::string &s);
 
-/** Parse a non-negative integer; throws FatalError on garbage. */
-long parseLong(const std::string &s);
-
 /**
  * Parse a 64-bit unsigned value (decimal, or hex/octal with the usual
  * prefixes). Rejects empty input, sign characters, trailing garbage,

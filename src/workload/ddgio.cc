@@ -15,8 +15,18 @@ namespace swp
 namespace
 {
 
+/** Largest trip count: the --simulate bound of the command line. */
+constexpr long long kMaxIterations = 1000000000000LL;
+
+/**
+ * Largest dependence distance. The schedulers and the verifiers
+ * multiply distances by the II in int arithmetic, so the cap keeps
+ * II * distance far from overflow at any II a loop can reach.
+ */
+constexpr int kMaxDistance = 1 << 16;
+
 DepKind
-parseDepKind(const std::string &s)
+parseDepKind(const std::string &s, int lineNo)
 {
     if (s == "reg")
         return DepKind::RegFlow;
@@ -24,7 +34,7 @@ parseDepKind(const std::string &s)
         return DepKind::Mem;
     if (s == "ctrl")
         return DepKind::Control;
-    SWP_FATAL("unknown dependence kind '", s, "'");
+    SWP_FATAL("line ", lineNo, ": unknown dependence kind '", s, "'");
 }
 
 const char *
@@ -87,9 +97,13 @@ parseDdgStream(std::istream &in)
             needOpen("iterations");
             if (tok.size() != 2)
                 SWP_FATAL("line ", lineNo, ": expected 'iterations <n>'");
-            current.iterations = parseLong(tok[1]);
-            if (current.iterations < 1)
-                SWP_FATAL("line ", lineNo, ": iterations must be >= 1");
+            long long iterations = 0;
+            if (!parseInt64InRange(tok[1], 1, kMaxIterations, iterations)) {
+                SWP_FATAL("line ", lineNo, ": iterations must be an "
+                          "integer in [1, ", kMaxIterations, "], got '",
+                          tok[1], "'");
+            }
+            current.iterations = long(iterations);
         } else if (tok[0] == "node") {
             needOpen("node");
             if (tok.size() != 3) {
@@ -99,8 +113,12 @@ parseDdgStream(std::istream &in)
             if (nodeByName.count(tok[1]))
                 SWP_FATAL("line ", lineNo, ": duplicate node '", tok[1],
                           "'");
-            nodeByName[tok[1]] =
-                current.graph.addNode(parseOpcode(tok[2]), tok[1]);
+            Opcode op;
+            if (!parseOpcode(tok[2], op)) {
+                SWP_FATAL("line ", lineNo, ": unknown opcode mnemonic '",
+                          tok[2], "'");
+            }
+            nodeByName[tok[1]] = current.graph.addNode(op, tok[1]);
         } else if (tok[0] == "inv") {
             needOpen("inv");
             if (tok.size() != 2)
@@ -116,9 +134,14 @@ parseDdgStream(std::istream &in)
                 SWP_FATAL("line ", lineNo,
                           ": expected 'edge <src> <dst> <kind> <dist>'");
             }
+            int distance = 0;
+            if (!parseIntInRange(tok[4], 0, kMaxDistance, distance)) {
+                SWP_FATAL("line ", lineNo, ": edge distance must be an "
+                          "integer in [0, ", kMaxDistance, "], got '",
+                          tok[4], "'");
+            }
             current.graph.addEdge(findNode(tok[1]), findNode(tok[2]),
-                                  parseDepKind(tok[3]),
-                                  int(parseLong(tok[4])));
+                                  parseDepKind(tok[3], lineNo), distance);
         } else if (tok[0] == "use") {
             needOpen("use");
             if (tok.size() != 3) {
@@ -135,7 +158,7 @@ parseDdgStream(std::istream &in)
             needOpen("end");
             std::string why;
             if (!verifyDdg(current.graph, &why)) {
-                SWP_FATAL("loop '", current.graph.name(),
+                SWP_FATAL("line ", lineNo, ": loop '", current.graph.name(),
                           "' is malformed: ", why);
             }
             loops.push_back(std::move(current));
@@ -146,7 +169,8 @@ parseDdgStream(std::istream &in)
         }
     }
     if (open)
-        SWP_FATAL("unterminated loop block '", current.graph.name(), "'");
+        SWP_FATAL("line ", lineNo, ": unterminated loop block '",
+                  current.graph.name(), "' at end of input");
     return loops;
 }
 

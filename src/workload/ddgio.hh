@@ -20,6 +20,10 @@
  * use  alpha Mul
  * end
  * @endcode
+ *
+ * Trip counts lie in [1, 10^12] and edge distances in [0, 65536]; a
+ * value outside its range, or one that is not a base-10 integer, is
+ * refused with the line number like every other malformed line.
  */
 
 #ifndef SWP_WORKLOAD_DDGIO_HH

